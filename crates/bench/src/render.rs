@@ -81,8 +81,7 @@ pub fn table5_text() -> String {
         .function("__alloc_pages_nodemask")
         .expect("fast path extracted");
     let rec = f
-        .records
-        .iter()
+        .paths()
         .find(|r| {
             r.states().any(
                 |e| matches!(e, pallas_sym::Event::State { lvalue, .. } if lvalue == "gfp_mask"),

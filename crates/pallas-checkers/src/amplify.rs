@@ -10,7 +10,7 @@
 
 use crate::context::{CheckContext, Checker};
 use crate::rule::{Rule, Warning};
-use pallas_sym::{Event, FunctionPaths};
+use pallas_sym::{Event, FunctionPaths, PathView};
 use std::collections::BTreeSet;
 
 /// Checker for the work-amplification rule — a thin view over the
@@ -39,9 +39,8 @@ pub(crate) fn match_expensive(cx: &CheckContext<'_>) -> Vec<Warning> {
     out.into_iter().collect()
 }
 
-fn call_lines(rec: &pallas_sym::PathRecord, helper: &str) -> Vec<u32> {
-    rec.events
-        .iter()
+fn call_lines(rec: PathView<'_>, helper: &str) -> Vec<u32> {
+    rec.events()
         .filter_map(|e| match e {
             Event::Call { line, callee, depth: 0, .. } if callee == helper => Some(*line),
             _ => None,
@@ -68,7 +67,7 @@ fn check_expensive(
         return;
     }
     let mut worst: Option<(usize, u32)> = None;
-    for rec in &func.records {
+    for rec in func.paths() {
         let lines = call_lines(rec, helper);
         if lines.len() >= 2 {
             let cand = (lines.len(), lines[1]);
@@ -90,11 +89,10 @@ fn check_expensive(
         ));
         return;
     }
-    let on_every_path = func.records.iter().all(|r| !call_lines(r, helper).is_empty());
+    let on_every_path = func.paths().all(|r| !call_lines(r, helper).is_empty());
     if on_every_path {
         let line = func
-            .records
-            .iter()
+            .paths()
             .flat_map(|r| call_lines(r, helper))
             .min()
             .unwrap_or(func.line);

@@ -7,7 +7,7 @@
 use crate::context::{event_mentions_loose, CheckContext, Checker};
 use crate::rule::{Rule, Warning};
 use pallas_sym::{Event, FunctionPaths};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Checker for assistant-data-structure rules — a thin view over the
 /// registry's rules 5.1–5.2.
@@ -26,10 +26,23 @@ impl Checker for AssistStructChecker {
 
 /// Registry matcher for Rule 5.1.
 pub(crate) fn match_layout(cx: &CheckContext<'_>) -> Vec<Warning> {
-    let mut out = BTreeSet::new();
+    if cx.spec.assist_structs.is_empty() {
+        return Vec::new();
+    }
     let fns = cx.fastpath_fns();
+    // Every atom any fast-path event or return mentions, in one pass
+    // over the event tables (each path's events are in its function's
+    // table) instead of one pass over every path per field.
+    let used: HashSet<&str> = fns
+        .iter()
+        .flat_map(|f| {
+            let events = f.events.iter().flat_map(Event::atoms);
+            events.chain(f.records.iter().flat_map(|r| r.output.vars.iter().map(String::as_str)))
+        })
+        .collect();
+    let mut out = BTreeSet::new();
     for strukt in &cx.spec.assist_structs {
-        check_layout(cx, &fns, strukt, &mut out);
+        check_layout(cx, &fns, &used, strukt, &mut out);
     }
     out.into_iter().collect()
 }
@@ -50,24 +63,19 @@ pub(crate) fn match_stale(cx: &CheckContext<'_>) -> Vec<Warning> {
 fn check_layout(
     cx: &CheckContext<'_>,
     fns: &[&FunctionPaths],
+    used: &HashSet<&str>,
     strukt: &str,
     out: &mut BTreeSet<Warning>,
 ) {
     let Some(def) = cx.ast.struct_def(strukt) else {
         return; // unknown struct; nothing to check
     };
-    let mut unused = Vec::new();
-    for field in &def.fields {
-        let used = fns.iter().any(|f| {
-            f.records.iter().any(|r| {
-                r.events.iter().any(|e| e.atoms().contains(&field.name.as_str()))
-                    || r.output.vars.iter().any(|v| v == &field.name)
-            })
-        });
-        if !used {
-            unused.push(field.name.as_str());
-        }
-    }
+    let unused: Vec<&str> = def
+        .fields
+        .iter()
+        .map(|field| field.name.as_str())
+        .filter(|name| !used.contains(name))
+        .collect();
     if !unused.is_empty() {
         let function = fns.first().map(|f| f.name.as_str()).unwrap_or("<fast path>");
         out.insert(cx.warn(
@@ -91,8 +99,8 @@ fn check_stale(
     cache: &str,
     out: &mut BTreeSet<Warning>,
 ) {
-    for rec in &func.records {
-        for (i, e) in rec.events.iter().enumerate() {
+    for rec in func.paths() {
+        for (i, e) in rec.events().enumerate() {
             let Event::State { line, lvalue, depth: 0, .. } = e else {
                 continue;
             };
@@ -101,8 +109,9 @@ fn check_stale(
             if !writes_state {
                 continue;
             }
-            let cache_updated = rec.events[i + 1..]
-                .iter()
+            let cache_updated = rec
+                .events()
+                .skip(i + 1)
                 .any(|later| event_mentions_loose(later, cache));
             if !cache_updated {
                 out.insert(cx.warn(

@@ -80,17 +80,12 @@ pub fn lvalue_writes(lvalue: &str, var: &str) -> bool {
     false
 }
 
-/// Whether an event mentions `name` as one of its atoms.
-pub fn event_mentions(event: &Event, name: &str) -> bool {
-    event.atoms().contains(&name)
-}
-
 /// Loose mention: atom equality, or the name embedded in a longer atom
 /// (e.g. cache name `icache` inside callee `icache_remove`) with
 /// word boundaries. Underscores count as boundaries so structure names
 /// match the helper functions operating on them.
 pub fn event_mentions_loose(event: &Event, name: &str) -> bool {
-    event.atoms().iter().any(|a| atom_contains(a, name))
+    event.atoms().any(|a| atom_contains(a, name))
 }
 
 /// Whether `atom` contains `name` delimited by word boundaries
@@ -160,8 +155,8 @@ mod tests {
             reads: vec!["migratetype".into()],
             depth: 0,
         };
-        assert!(event_mentions(&st, "page->private"));
-        assert!(event_mentions(&st, "migratetype"));
-        assert!(!event_mentions(&st, "page"));
+        assert!(st.mentions("page->private"));
+        assert!(st.mentions("migratetype"));
+        assert!(!st.mentions("page"));
     }
 }

@@ -34,7 +34,7 @@ pub(crate) fn match_fault_missing(cx: &CheckContext<'_>) -> Vec<Warning> {
     let mut out = BTreeSet::new();
     for func in cx.fastpath_fns() {
         for fault in &cx.spec.faults {
-            let handled = func.records.iter().any(|r| r.checks_atom(fault));
+            let handled = func.checks_atom(fault);
             if !handled {
                 out.insert(cx.warn(
                     Rule::FaultMissing,

@@ -63,7 +63,7 @@ pub(crate) fn match_callers(cx: &CheckContext<'_>) -> Vec<Warning> {
 /// return set. Symbolically undecidable returns are skipped (static
 /// analysis stays sound for reported warnings, incomplete overall).
 fn check_defined(cx: &CheckContext<'_>, func: &FunctionPaths, out: &mut BTreeSet<Warning>) {
-    for rec in &func.records {
+    for rec in func.paths() {
         let verdict = match rec.output.value {
             None => Some("fast path returns no value".to_string()),
             Some(s) => match s.node() {
@@ -113,7 +113,7 @@ fn check_match_slow(cx: &CheckContext<'_>, func: &FunctionPaths, out: &mut BTree
         if slow_lit.is_empty() && slow_named.is_empty() {
             continue; // nothing comparable
         }
-        for rec in &func.records {
+        for rec in func.paths() {
             match rec.output.value.map(|s| s.node()) {
                 Some(SymNode::Int(v)) if !slow_lit.contains(v) => {
                     out.insert(cx.warn(
@@ -137,8 +137,8 @@ fn check_match_slow(cx: &CheckContext<'_>, func: &FunctionPaths, out: &mut BTree
 /// to) or by propagating it upward.
 fn check_callers(cx: &CheckContext<'_>, func: &FunctionPaths, out: &mut BTreeSet<Warning>) {
     for caller in cx.db.callers_of(&func.name) {
-        for rec in &caller.records {
-            for (i, e) in rec.events.iter().enumerate() {
+        for rec in caller.paths() {
+            for (i, e) in rec.events().enumerate() {
                 let Event::Call { line, callee, assigned_to, in_condition, depth: 0, .. } = e
                 else {
                     continue;
@@ -152,7 +152,7 @@ fn check_callers(cx: &CheckContext<'_>, func: &FunctionPaths, out: &mut BTreeSet
                 let checked = match assigned_to {
                     Some(var) => {
                         // Checked if a later event or the return mentions it.
-                        rec.events[i + 1..].iter().any(|later| match later {
+                        rec.events().skip(i + 1).any(|later| match later {
                             Event::Cond { vars, .. } => vars.iter().any(|v| v == var),
                             _ => false,
                         }) || rec.output.vars.iter().any(|v| v == var)

@@ -4,7 +4,7 @@
 //! uninitialized immutable variables, overwritten immutable variables,
 //! and incomplete correlated-variable implementations.
 
-use crate::context::{event_mentions, lvalue_writes, CheckContext, Checker};
+use crate::context::{lvalue_writes, CheckContext, Checker};
 use crate::rule::{Rule, Warning};
 use pallas_lang::Item;
 use pallas_sym::{Event, FunctionPaths};
@@ -70,14 +70,13 @@ fn check_overwrite(
     imm: &str,
     out: &mut BTreeSet<Warning>,
 ) {
-    for rec in &func.records {
+    for rec in func.paths() {
         // Does this path declare `imm` as a local? Then its first plain
         // write is the initialization, exempt from the rule.
         let mut init_pending = rec
-            .events
-            .iter()
+            .events()
             .any(|e| matches!(e, Event::Decl { name, .. } if name == imm));
-        for e in &rec.events {
+        for e in rec.events() {
             if let Event::State { line, lvalue, depth: 0, .. } = e {
                 if !lvalue_writes(lvalue, imm) {
                     continue;
@@ -118,10 +117,10 @@ fn check_init(
     if global == Some(true) {
         return;
     }
-    for rec in &func.records {
+    for rec in func.paths() {
         let mut declared_uninit = global == Some(false);
         let mut written = false;
-        for e in &rec.events {
+        for e in rec.events() {
             match e {
                 Event::Decl { name, has_init, .. } if name == imm => {
                     declared_uninit = !has_init;
@@ -174,10 +173,10 @@ fn check_correlated(
     y: &str,
     out: &mut BTreeSet<Warning>,
 ) {
-    for rec in &func.records {
-        let first_x = rec.events.iter().find(|e| event_mentions(e, x));
+    for rec in func.paths() {
+        let first_x = rec.events().find(|e| e.mentions(x));
         if let Some(ex) = first_x {
-            let mentions_y = rec.events.iter().any(|e| event_mentions(e, y))
+            let mentions_y = rec.events().any(|e| e.mentions(y))
                 || rec.output.vars.iter().any(|v| v == y);
             if !mentions_y {
                 out.insert(cx.warn(

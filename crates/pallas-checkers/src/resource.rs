@@ -65,8 +65,8 @@ fn check_acquire(
     rel: &str,
     out: &mut BTreeSet<Warning>,
 ) {
-    for rec in &func.records {
-        for (i, e) in rec.events.iter().enumerate() {
+    for rec in func.paths() {
+        for (i, e) in rec.events().enumerate() {
             let Event::Call { line, callee, depth: 0, .. } = e else {
                 continue;
             };
@@ -74,7 +74,7 @@ fn check_acquire(
                 continue;
             }
             let released =
-                rec.events[i + 1..].iter().any(|later| event_mentions_loose(later, rel));
+                rec.events().skip(i + 1).any(|later| event_mentions_loose(later, rel));
             if !released {
                 out.insert(cx.warn(
                     Rule::AcquireNoRelease,
@@ -97,8 +97,8 @@ fn check_release(
     rel: &str,
     out: &mut BTreeSet<Warning>,
 ) {
-    for rec in &func.records {
-        for (i, e) in rec.events.iter().enumerate() {
+    for rec in func.paths() {
+        for (i, e) in rec.events().enumerate() {
             let Event::Call { line, callee, depth: 0, .. } = e else {
                 continue;
             };
@@ -106,7 +106,7 @@ fn check_release(
                 continue;
             }
             let acquired =
-                rec.events[..i].iter().any(|earlier| event_mentions_loose(earlier, acq));
+                rec.events().take(i).any(|earlier| event_mentions_loose(earlier, acq));
             if !acquired {
                 out.insert(cx.warn(
                     Rule::ReleaseNoAcquire,

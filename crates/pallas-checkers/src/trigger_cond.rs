@@ -8,7 +8,7 @@
 use crate::context::{CheckContext, Checker};
 use crate::rule::{Rule, Warning};
 use pallas_spec::CondSpec;
-use pallas_sym::{Event, FunctionPaths, PathRecord};
+use pallas_sym::{Event, FunctionPaths, PathView};
 use std::collections::BTreeSet;
 
 /// Checker for trigger-condition rules — a thin view over the
@@ -66,7 +66,7 @@ fn present_vars<'s>(func: &FunctionPaths, cond: &'s CondSpec) -> Vec<&'s str> {
     cond.vars
         .iter()
         .map(String::as_str)
-        .filter(|v| func.records.iter().any(|r| r.checks_atom(v)))
+        .filter(|v| func.checks_atom(v))
         .collect()
 }
 
@@ -118,9 +118,9 @@ fn check_presence(
 }
 
 fn first_check_line(func: &FunctionPaths, vars: &[&str]) -> Option<u32> {
-    func.records
+    // Every path's conditions are in the function's event table.
+    func.events
         .iter()
-        .flat_map(|r| r.conditions())
         .filter_map(|e| match e {
             Event::Cond { line, vars: cv, .. }
                 if vars.iter().any(|v| cv.iter().any(|c| c == v)) =>
@@ -144,12 +144,12 @@ fn check_order(
     let (Some(ga), Some(gb)) = (cx.spec.cond(first), cx.spec.cond(second)) else {
         return; // unknown cond names; spec linting happens elsewhere
     };
-    for rec in &func.records {
+    for rec in func.paths() {
         let ia = first_cond_index(rec, &ga.vars);
         let ib = first_cond_index(rec, &gb.vars);
         if let (Some(ia), Some(ib)) = (ia, ib) {
             if ib < ia {
-                let line = rec.events[ib].line();
+                let line = rec.event(ib).line();
                 out.insert(cx.warn(
                     Rule::CondOrder,
                     &func.name,
@@ -164,8 +164,8 @@ fn check_order(
     }
 }
 
-fn first_cond_index(rec: &PathRecord, vars: &[String]) -> Option<usize> {
-    rec.events.iter().position(|e| match e {
+fn first_cond_index(rec: PathView<'_>, vars: &[String]) -> Option<usize> {
+    rec.events().position(|e| match e {
         Event::Cond { vars: cv, .. } => vars.iter().any(|v| cv.contains(v)),
         _ => false,
     })

@@ -703,9 +703,9 @@ fn cmd_table5(args: &[String]) -> Result<(), String> {
         .db
         .function(function)
         .ok_or_else(|| format!("function `{function}` not found"))?;
-    for record in &func.records {
-        println!("--- path {} ---", record.index);
-        print!("{}", pallas_sym::render_table5(func, record, &analyzed.spec));
+    for path in func.paths() {
+        println!("--- path {} ---", path.index);
+        print!("{}", pallas_sym::render_table5(func, path, &analyzed.spec));
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! Binary codec for persisted analysis artifacts.
 //!
 //! The persistent store ([`super::store_layer`]) holds two payload
-//! shapes: a *function record* (one serialized
-//! [`FunctionPaths`]) and a *unit record* (the function-record keys
+//! shapes: a *function record* (one serialized [`FunctionPaths`]: its
+//! event table once, then each path as a list of LEB128 event ids) and
+//! a *unit record* (the function-record keys
 //! that make up the unit's path database, in source order, plus the
 //! unit's warnings). Everything is little-endian and length-prefixed;
 //! enum variants are tagged by `u8` through exhaustive matches so a
@@ -18,7 +19,7 @@
 
 use pallas_checkers::{parse_rule, Warning};
 use pallas_lang::ast::{BinOp, UnOp};
-use pallas_sym::{Event, FunctionPaths, OutputRecord, PathRecord, Sym, SymNode};
+use pallas_sym::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathRecord, Sym, SymNode};
 
 /// A malformed or foreign payload. Carries the reason for tests and
 /// trace messages; the store layer's only decision is "treat as miss".
@@ -44,6 +45,15 @@ impl Writer {
     }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// LEB128 (seven bits per byte, high bit = more follows): event
+    /// ids are small and make up most of a function record.
+    fn varu32(&mut self, mut v: u32) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -94,6 +104,21 @@ impl<'a> Reader<'a> {
     }
     fn u32(&mut self) -> R<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+    fn varu32(&mut self) -> R<u32> {
+        let mut v = 0;
+        for shift in [0, 7, 14, 21, 28] {
+            let b = self.u8()?;
+            let bits = u32::from(b & 0x7f);
+            if bits.leading_zeros() < shift {
+                break; // bits past the 32nd
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        bad("varint overflow")
     }
     fn u64(&mut self) -> R<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -317,7 +342,8 @@ fn write_event(w: &mut Writer, event: &Event) {
             w.u8(0);
             w.u32(*line);
             w.str(text);
-            w.str(symbolic);
+            write_sym(w, symbolic.value);
+            w.str(&symbolic.suffix);
             w.strs(vars);
             w.u8(match taken {
                 None => 0,
@@ -365,7 +391,7 @@ fn read_event(r: &mut Reader<'_>) -> R<Event> {
         0 => Event::Cond {
             line: r.u32()?,
             text: r.str()?,
-            symbolic: r.str()?,
+            symbolic: CondSym { value: read_sym(r)?, suffix: r.str()? },
             vars: r.strs()?,
             taken: match r.u8()? {
                 0 => None,
@@ -412,12 +438,16 @@ fn write_function_paths(w: &mut Writer, fp: &FunctionPaths) {
     w.str(&fp.signature);
     w.strs(&fp.params);
     w.u32(fp.line);
+    w.u32(fp.events.len() as u32);
+    for e in &fp.events {
+        write_event(w, e);
+    }
     w.u32(fp.records.len() as u32);
     for rec in &fp.records {
         w.u64(rec.index as u64);
-        w.u32(rec.events.len() as u32);
-        for e in &rec.events {
-            write_event(w, e);
+        w.varu32(rec.events.len() as u32);
+        for id in &rec.events {
+            w.varu32(id.0);
         }
         w.u32(rec.output.line);
         w.str(&rec.output.text);
@@ -433,14 +463,23 @@ fn read_function_paths(r: &mut Reader<'_>) -> R<FunctionPaths> {
     let signature = r.str()?;
     let params = r.strs()?;
     let line = r.u32()?;
+    let n_events = r.u32()?;
+    let mut events = Vec::with_capacity((n_events as usize).min(4096));
+    for _ in 0..n_events {
+        events.push(read_event(r)?);
+    }
     let n_records = r.u32()? as usize;
     let mut records = Vec::with_capacity(n_records.min(4096));
     for _ in 0..n_records {
         let index = r.u64()? as usize;
-        let n_events = r.u32()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(4096));
-        for _ in 0..n_events {
-            events.push(read_event(r)?);
+        let n_ids = r.varu32()? as usize;
+        let mut ids = Vec::with_capacity(n_ids.min(4096));
+        for _ in 0..n_ids {
+            let id = r.varu32()?;
+            if id >= n_events {
+                return bad("event id out of range");
+            }
+            ids.push(EventId(id));
         }
         let output = OutputRecord {
             line: r.u32()?,
@@ -448,11 +487,11 @@ fn read_function_paths(r: &mut Reader<'_>) -> R<FunctionPaths> {
             value: read_opt_sym(r)?,
             vars: r.strs()?,
         };
-        records.push(PathRecord { index, events, output });
+        records.push(PathRecord { index, events: ids, output });
     }
     let truncated = r.boolean()?;
     let pruned = r.u64()? as usize;
-    Ok(FunctionPaths { name, signature, params, line, records, truncated, pruned })
+    Ok(FunctionPaths { name, signature, params, line, events, records, truncated, pruned })
 }
 
 /// Serializes one function's extracted paths (a *function record*
@@ -548,40 +587,52 @@ mod tests {
             signature: "int get_page_fast(gfp_t gfp_mask, int order)".into(),
             params: vec!["gfp_mask".into(), "order".into()],
             line: 12,
+            events: vec![
+                Event::Decl { line: 13, name: "page".into(), has_init: false, depth: 0 },
+                Event::Cond {
+                    line: 14,
+                    text: "order == 0".into(),
+                    symbolic: CondSym {
+                        value: Sym::binary_raw(BinOp::Eq, Sym::input("order"), Sym::int(0)),
+                        suffix: String::new(),
+                    },
+                    vars: vec!["order".into()],
+                    taken: Some(true),
+                    depth: 0,
+                },
+                Event::State {
+                    line: 15,
+                    lvalue: "page".into(),
+                    value: Sym::binary_raw(
+                        BinOp::Add,
+                        Sym::input("base"),
+                        Sym::unary_raw(UnOp::Neg, Sym::int(-3)),
+                    ),
+                    text: "page = base + -(-3)".into(),
+                    reads: vec!["base".into()],
+                    depth: 0,
+                },
+                Event::Call {
+                    line: 16,
+                    callee: "prep_page".into(),
+                    arg_vars: vec!["page".into()],
+                    assigned_to: Some("rc".into()),
+                    in_condition: false,
+                    depth: 1,
+                },
+                Event::Cond {
+                    line: 18,
+                    text: "order == case 2".into(),
+                    symbolic: CondSym { value: Sym::input("order"), suffix: " == case 2".into() },
+                    vars: vec!["order".into()],
+                    taken: None,
+                    depth: 0,
+                },
+            ],
             records: vec![
                 PathRecord {
                     index: 0,
-                    events: vec![
-                        Event::Decl { line: 13, name: "page".into(), has_init: false, depth: 0 },
-                        Event::Cond {
-                            line: 14,
-                            text: "order == 0".into(),
-                            symbolic: "(S#order) == (I#0)".into(),
-                            vars: vec!["order".into()],
-                            taken: Some(true),
-                            depth: 0,
-                        },
-                        Event::State {
-                            line: 15,
-                            lvalue: "page".into(),
-                            value: Sym::binary_raw(
-                                BinOp::Add,
-                                Sym::input("base"),
-                                Sym::unary_raw(UnOp::Neg, Sym::int(-3)),
-                            ),
-                            text: "page = base + -(-3)".into(),
-                            reads: vec!["base".into()],
-                            depth: 0,
-                        },
-                        Event::Call {
-                            line: 16,
-                            callee: "prep_page".into(),
-                            arg_vars: vec!["page".into()],
-                            assigned_to: Some("rc".into()),
-                            in_condition: false,
-                            depth: 1,
-                        },
-                    ],
+                    events: vec![EventId(0), EventId(1), EventId(2), EventId(3), EventId(2)],
                     output: OutputRecord {
                         line: 17,
                         text: "page".into(),
@@ -594,7 +645,7 @@ mod tests {
                 },
                 PathRecord {
                     index: 1,
-                    events: vec![],
+                    events: vec![EventId(4)],
                     output: OutputRecord {
                         line: 19,
                         text: String::new(),
@@ -613,6 +664,21 @@ mod tests {
         let fp = sample_function_paths();
         let bytes = encode_function_paths(&fp);
         assert_eq!(decode_function_paths(&bytes).unwrap(), fp);
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_overflow() {
+        for v in [0, 1, 0x7f, 0x80, 0x3fff, 0x4000, u32::MAX - 1, u32::MAX] {
+            let mut w = Writer::default();
+            w.varu32(v);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varu32().unwrap(), v);
+            assert!(r.finished());
+        }
+        // Bits past the 32nd, and a sixth byte, are errors.
+        assert!(Reader::new(&[0xff, 0xff, 0xff, 0xff, 0x1f]).varu32().is_err());
+        assert!(Reader::new(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00]).varu32().is_err());
     }
 
     #[test]
@@ -686,6 +752,11 @@ mod tests {
         trailing.push(0);
         assert!(decode_function_paths(&trailing).is_err());
         assert!(decode_function_paths(&[0xFF; 16]).is_err());
+        // An id past the end of the event table is an error, not a
+        // later out-of-bounds panic in a path view.
+        let mut dangling = fp.clone();
+        dangling.records[1].events = vec![EventId(fp.events.len() as u32)];
+        assert!(decode_function_paths(&encode_function_paths(&dangling)).is_err());
         // A warning with an unregistered rule number is an error.
         let mut w = Writer::default();
         w.u32(0); // no function keys

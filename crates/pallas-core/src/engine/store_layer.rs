@@ -46,8 +46,9 @@ use std::path::Path;
 /// and the key derivations in this module). Folded into every content
 /// key, so records written by a different schema are unreachable —
 /// they age out as dead records at the next `gc` instead of being
-/// misread.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+/// misread. Version 2 stores each function's event table once and its
+/// paths as event-id lists.
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 pub(crate) const KIND_UNIT: u8 = 1;
 pub(crate) const KIND_FUNCTION: u8 = 2;

@@ -552,8 +552,7 @@ mod tests {
         let f = analyzed.db.function("__alloc_pages_nodemask").unwrap();
         // Find a path through the slow branch (gfp_mask reassigned).
         let rec = f
-            .records
-            .iter()
+            .paths()
             .find(|r| {
                 r.states().any(|e| matches!(e, pallas_sym::Event::State { lvalue, .. } if lvalue == "gfp_mask"))
             })

@@ -24,8 +24,8 @@ impl PathFeatures {
     /// Only depth-0 events count (the function's own code).
     pub fn collect(func: &FunctionPaths) -> Self {
         let mut f = PathFeatures::default();
-        for rec in &func.records {
-            for e in &rec.events {
+        for rec in func.paths() {
+            for e in rec.events() {
                 if e.depth() != 0 {
                     continue;
                 }

@@ -95,7 +95,7 @@ pub fn infer_spec(db: &PathDb, ast: &Ast, fast: &str, slow: &str) -> Option<Infe
     // Trigger candidates: variables in conditions only the fast path
     // checks (its trigger) and variables in conditions it dropped.
     let mut trigger_vars = BTreeSet::new();
-    for rec in &ff.records {
+    for rec in ff.paths() {
         for e in rec.conditions() {
             if let Event::Cond { text, vars, depth: 0, .. } = e {
                 if !slow_features.conditions.contains(text) {
@@ -141,12 +141,12 @@ pub fn infer_spec(db: &PathDb, ast: &Ast, fast: &str, slow: &str) -> Option<Infe
     // return value is meaningful and every caller should check it.
     let callers = db.callers_of(fast);
     let any_checked = callers.iter().any(|caller| {
-        caller.records.iter().any(|rec| {
-            rec.events.iter().enumerate().any(|(i, e)| match e {
+        caller.paths().any(|rec| {
+            rec.events().enumerate().any(|(i, e)| match e {
                 Event::Call { callee, assigned_to, in_condition, .. } if callee == fast => {
                     *in_condition
                         || assigned_to.as_ref().is_some_and(|var| {
-                            rec.events[i + 1..].iter().any(|later| match later {
+                            rec.events().skip(i + 1).any(|later| match later {
                                 Event::Cond { vars, .. } => vars.iter().any(|v| v == var),
                                 _ => false,
                             })
@@ -167,8 +167,7 @@ pub fn infer_spec(db: &PathDb, ast: &Ast, fast: &str, slow: &str) -> Option<Infe
     // Fault candidates: error-shaped names the slow path checks in
     // flow control that the fast path never does.
     let fast_checked: BTreeSet<String> = ff
-        .records
-        .iter()
+        .paths()
         .flat_map(|r| r.conditions())
         .flat_map(|e| match e {
             Event::Cond { vars, .. } => vars.clone(),
@@ -176,7 +175,7 @@ pub fn infer_spec(db: &PathDb, ast: &Ast, fast: &str, slow: &str) -> Option<Infe
         })
         .collect();
     let mut faults = BTreeSet::new();
-    for rec in &sf.records {
+    for rec in sf.paths() {
         for e in rec.conditions() {
             if let Event::Cond { vars, .. } = e {
                 for v in vars {

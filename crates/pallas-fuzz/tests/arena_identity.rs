@@ -70,10 +70,14 @@ fn generated_units_render_byte_identical_across_consumers() {
         assert_eq!(base, buf, "seed {seed}: reused-buffer rendering diverged");
 
         for f in &facade.db.functions {
-            for rec in &f.records {
-                for ev in &rec.events {
-                    if let Event::State { value, .. } = ev {
-                        assert_reinterns_identically(*value);
+            for rec in f.paths() {
+                for ev in rec.events() {
+                    match ev {
+                        Event::State { value, .. } => assert_reinterns_identically(*value),
+                        Event::Cond { symbolic, .. } => {
+                            assert_reinterns_identically(symbolic.value)
+                        }
+                        _ => {}
                     }
                 }
                 if let Some(v) = rec.output.value {

@@ -140,7 +140,7 @@ fn kernel_style_macros_substituted() {
     // extracting and looking for the condition.
     let db = pallas_sym::extract("k", &ast, KERNEL_STYLE, &pallas_sym::ExtractConfig::default());
     let f = db.function("rmqueue").unwrap();
-    let any_literal_11 = f.records.iter().any(|r| {
+    let any_literal_11 = f.paths().any(|r| {
         r.conditions().any(|e| match e {
             pallas_sym::Event::Cond { text, .. } => text.contains("11"),
             _ => false,
@@ -177,7 +177,7 @@ fn kernel_style_symbolic_extraction() {
     let f = db.function("rmqueue").unwrap();
     assert!(!f.records.is_empty());
     // Some path writes page->private.
-    let writes_private = f.records.iter().any(|r| {
+    let writes_private = f.paths().any(|r| {
         r.states().any(|e| matches!(e, pallas_sym::Event::State { lvalue, .. } if lvalue == "page->private"))
     });
     assert!(writes_private);

@@ -22,12 +22,11 @@ impl CallGraph {
         let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for func in &db.functions {
             let entry = edges.entry(func.name.clone()).or_default();
-            for rec in &func.records {
-                for e in rec.calls() {
-                    if let Event::Call { callee, depth: 0, .. } = e {
-                        if !entry.contains(callee.as_str()) {
-                            entry.insert(callee.clone());
-                        }
+            // The event table holds every call of every path.
+            for e in &func.events {
+                if let Event::Call { callee, depth: 0, .. } = e {
+                    if !entry.contains(callee.as_str()) {
+                        entry.insert(callee.clone());
                     }
                 }
             }

@@ -1,9 +1,31 @@
 //! The path database: per-path timelines of semantic events.
 //!
 //! Each enumerated execution path becomes a [`PathRecord`] — an ordered
-//! list of [`Event`]s (condition checks, state updates, calls,
+//! timeline of semantic events (condition checks, state updates, calls,
 //! declarations) plus the path's output. The twelve rule checkers run
 //! entirely over this representation; they never look at the AST again.
+//!
+//! # Layout
+//!
+//! Paths through loop-heavy code repeat the same events over and over
+//! (the same condition with the same symbolic value, the same inlined
+//! callee summary), so events are stored once per function:
+//!
+//! - [`FunctionPaths::events`] is the function's *event table*: every
+//!   distinct event its paths produced, each built (strings and all)
+//!   once.
+//! - [`PathRecord::events`] is a list of [`EventId`]s into that table,
+//!   in timeline order, plus the path's [`OutputRecord`].
+//!
+//! Readers never touch ids: [`FunctionPaths::paths`] yields borrowed
+//! [`PathView`]s whose [`events`](PathView::events) iterator resolves
+//! each id against the table, so a path still reads as a sequence of
+//! `&Event`s. Table-wide questions ("does any path of this function
+//! mention `x`?") can scan the table once instead of every path.
+//!
+//! Rendering is late: a condition's symbolic form is kept as a
+//! [`CondSym`] (the evaluated [`Sym`] plus a switch arm's suffix) and
+//! only turned into Table 5's `S#/I#/V#/E#` text when displayed.
 
 use crate::sym::Sym;
 use std::collections::HashMap;
@@ -22,9 +44,9 @@ pub enum Event {
         line: u32,
         /// Rendered condition text.
         text: String,
-        /// Symbolic rendering of the evaluated condition (Table 5's
-        /// `S#/I#/V#/E#` notation).
-        symbolic: String,
+        /// Symbolic value of the evaluated condition; displays in
+        /// Table 5's `S#/I#/V#/E#` notation.
+        symbolic: CondSym,
         /// Name atoms mentioned by the condition (identifiers, member
         /// paths, and field names).
         vars: Vec<String>,
@@ -98,21 +120,48 @@ impl Event {
     }
 
     /// All name atoms the event mentions (reads and writes).
-    pub fn atoms(&self) -> Vec<&str> {
-        match self {
-            Event::Cond { vars, .. } => vars.iter().map(String::as_str).collect(),
-            Event::State { lvalue, reads, .. } => {
-                let mut v: Vec<&str> = reads.iter().map(String::as_str).collect();
-                v.push(lvalue.as_str());
-                v
-            }
-            Event::Call { arg_vars, callee, .. } => {
-                let mut v: Vec<&str> = arg_vars.iter().map(String::as_str).collect();
-                v.push(callee.as_str());
-                v
-            }
-            Event::Decl { name, .. } => vec![name.as_str()],
-        }
+    pub fn atoms(&self) -> impl Iterator<Item = &str> + Clone {
+        let (list, last): (&[String], Option<&String>) = match self {
+            Event::Cond { vars, .. } => (vars, None),
+            Event::State { lvalue, reads, .. } => (reads, Some(lvalue)),
+            Event::Call { arg_vars, callee, .. } => (arg_vars, Some(callee)),
+            Event::Decl { name, .. } => (&[], Some(name)),
+        };
+        list.iter().chain(last).map(String::as_str)
+    }
+
+    /// Whether `atom` is one of the event's [`atoms`](Self::atoms).
+    pub fn mentions(&self, atom: &str) -> bool {
+        self.atoms().any(|a| a == atom)
+    }
+}
+
+/// The symbolic form of an evaluated condition: its value, plus the
+/// ` == case <label>` / ` == default` suffix of a switch arm (empty for
+/// branches and ternaries). Displays as Table 5 renders it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CondSym {
+    /// The evaluated condition (or switch scrutinee).
+    pub value: Sym,
+    /// Switch-arm suffix, empty otherwise.
+    pub suffix: String,
+}
+
+impl fmt::Display for CondSym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.value, self.suffix)
+    }
+}
+
+/// Index of an event in its function's event table
+/// ([`FunctionPaths::events`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct EventId(pub u32);
+
+impl EventId {
+    /// The table index this id names.
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -129,31 +178,61 @@ pub struct OutputRecord {
     pub vars: Vec<String>,
 }
 
-/// One extracted execution path.
+/// One extracted execution path, as stored: ids into the owning
+/// function's event table. Read it through [`FunctionPaths::paths`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathRecord {
     /// Index of this path within its function (enumeration order).
     pub index: usize,
-    /// Ordered event timeline.
-    pub events: Vec<Event>,
+    /// Ordered event timeline, as ids into [`FunctionPaths::events`].
+    pub events: Vec<EventId>,
     /// Path output.
     pub output: OutputRecord,
 }
 
-impl PathRecord {
+/// A borrowed view of one path: its record resolved against the
+/// function's event table.
+#[derive(Debug, Clone, Copy)]
+pub struct PathView<'a> {
+    table: &'a [Event],
+    ids: &'a [EventId],
+    /// Index of this path within its function (enumeration order).
+    pub index: usize,
+    /// Path output.
+    pub output: &'a OutputRecord,
+}
+
+impl<'a> PathView<'a> {
+    /// The ordered event timeline.
+    pub fn events(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &'a Event> + ExactSizeIterator + Clone + 'a {
+        let table = self.table;
+        self.ids.iter().map(move |id| &table[id.index()])
+    }
+
+    /// The `i`-th event of the timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn event(&self, i: usize) -> &'a Event {
+        &self.table[self.ids[i].index()]
+    }
+
     /// Iterates over condition events at any depth.
-    pub fn conditions(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(|e| matches!(e, Event::Cond { .. }))
+    pub fn conditions(&self) -> impl Iterator<Item = &'a Event> + Clone + 'a {
+        self.events().filter(|e| matches!(e, Event::Cond { .. }))
     }
 
     /// Iterates over state-update events.
-    pub fn states(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(|e| matches!(e, Event::State { .. }))
+    pub fn states(&self) -> impl Iterator<Item = &'a Event> + Clone + 'a {
+        self.events().filter(|e| matches!(e, Event::State { .. }))
     }
 
     /// Iterates over call events.
-    pub fn calls(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(|e| matches!(e, Event::Call { .. }))
+    pub fn calls(&self) -> impl Iterator<Item = &'a Event> + Clone + 'a {
+        self.events().filter(|e| matches!(e, Event::Call { .. }))
     }
 
     /// Whether any condition event (at any depth) mentions `atom`.
@@ -166,7 +245,7 @@ impl PathRecord {
 
     /// The first event index whose atoms mention `atom`, if any.
     pub fn first_mention(&self, atom: &str) -> Option<usize> {
-        self.events.iter().position(|e| e.atoms().contains(&atom))
+        self.events().position(|e| e.mentions(atom))
     }
 }
 
@@ -181,6 +260,13 @@ pub struct FunctionPaths {
     pub params: Vec<String>,
     /// 1-based line of the function definition.
     pub line: u32,
+    /// The event table: every distinct event of this function's paths
+    /// (see the [module docs](self)). Every [`PathRecord`] id indexes
+    /// into it. It may also hold the unassigned form of a `Call` whose
+    /// result every producing path then assigned (`assigned_to` is the
+    /// only field that differs), so a scan of the table answers
+    /// questions about all paths as long as it ignores `assigned_to`.
+    pub events: Vec<Event>,
     /// Extracted paths.
     pub records: Vec<PathRecord>,
     /// Whether enumeration hit a limit (the set under-approximates).
@@ -192,6 +278,35 @@ pub struct FunctionPaths {
 }
 
 impl FunctionPaths {
+    /// The view of path `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn path(&self, i: usize) -> PathView<'_> {
+        self.view(&self.records[i])
+    }
+
+    /// Views of every path, in enumeration order.
+    pub fn paths(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = PathView<'_>> + ExactSizeIterator + Clone {
+        self.records.iter().map(|r| self.view(r))
+    }
+
+    fn view<'a>(&'a self, r: &'a PathRecord) -> PathView<'a> {
+        PathView { table: &self.events, ids: &r.events, index: r.index, output: &r.output }
+    }
+
+    /// Whether a condition event of any path (at any depth) mentions
+    /// `atom`: one scan of the event table.
+    pub fn checks_atom(&self, atom: &str) -> bool {
+        self.events.iter().any(|e| match e {
+            Event::Cond { vars, .. } => vars.iter().any(|v| v == atom),
+            _ => false,
+        })
+    }
+
     /// Set of distinct constant return values across all paths.
     pub fn literal_returns(&self) -> Vec<i64> {
         let mut v: Vec<i64> = self
@@ -269,11 +384,9 @@ impl PathDb {
             .iter()
             .filter(|f| {
                 f.name != callee
-                    && f.records.iter().any(|r| {
-                        r.calls().any(|c| {
-                            matches!(c, Event::Call { callee: c2, depth: 0, .. } if c2 == callee)
-                        })
-                    })
+                    && f.events.iter().any(
+                        |c| matches!(c, Event::Call { callee: c2, depth: 0, .. } if c2 == callee),
+                    )
             })
             .collect()
     }
@@ -310,62 +423,78 @@ mod tests {
         }
     }
 
+    fn output(line: u32, text: &str, value: Option<Sym>) -> OutputRecord {
+        OutputRecord { line, text: text.into(), value, vars: vec![] }
+    }
+
+    fn function(name: &str, events: Vec<Event>, records: Vec<PathRecord>) -> FunctionPaths {
+        FunctionPaths {
+            name: name.into(),
+            signature: format!("int {name}()"),
+            params: vec![],
+            line: 1,
+            events,
+            records,
+            truncated: false,
+            pruned: 0,
+        }
+    }
+
     #[test]
     fn path_record_queries() {
-        let rec = PathRecord {
-            index: 0,
-            events: vec![
-                Event::Cond {
-                    line: 3,
-                    text: "order == 0".into(),
-                    symbolic: "(S#order) == (I#0)".into(),
-                    vars: vec!["order".into()],
-                    taken: Some(true),
-                    depth: 0,
-                },
-                state(4, "page"),
-            ],
-            output: OutputRecord { line: 5, text: "page".into(), value: None, vars: vec![] },
+        let cond = Event::Cond {
+            line: 3,
+            text: "order == 0".into(),
+            symbolic: CondSym {
+                value: Sym::binary(pallas_lang::ast::BinOp::Eq, Sym::input("order"), Sym::int(0)),
+                suffix: String::new(),
+            },
+            vars: vec!["order".into()],
+            taken: Some(true),
+            depth: 0,
         };
+        let fp = function(
+            "f",
+            vec![cond, state(4, "page")],
+            vec![PathRecord {
+                index: 0,
+                events: vec![EventId(0), EventId(1), EventId(1)],
+                output: output(5, "page", None),
+            }],
+        );
+        let rec = fp.path(0);
         assert!(rec.checks_atom("order"));
         assert!(!rec.checks_atom("page"));
         assert_eq!(rec.first_mention("page"), Some(1));
         assert_eq!(rec.conditions().count(), 1);
-        assert_eq!(rec.states().count(), 1);
+        assert_eq!(rec.states().count(), 2, "a repeated id is a repeated event");
+        assert_eq!(rec.event(2).line(), 4);
+        assert_eq!(rec.output.line, 5);
+        match rec.event(0) {
+            Event::Cond { symbolic, .. } => {
+                assert_eq!(symbolic.to_string(), "((S#order) == (I#0))")
+            }
+            _ => unreachable!(),
+        }
     }
 
     #[test]
     fn db_lookup_and_callers() {
         let mut db = PathDb::new("u");
-        db.insert(FunctionPaths {
-            name: "callee".into(),
-            signature: "int callee()".into(),
-            params: vec![],
-            line: 1,
-            records: vec![],
-            truncated: false,
-            pruned: 0,
-        });
-        db.insert(FunctionPaths {
-            name: "caller".into(),
-            signature: "int caller()".into(),
-            params: vec![],
-            line: 10,
-            records: vec![PathRecord {
-                index: 0,
-                events: vec![Event::Call {
-                    line: 11,
-                    callee: "callee".into(),
-                    arg_vars: vec![],
-                    assigned_to: None,
-                    in_condition: false,
-                    depth: 0,
-                }],
-                output: OutputRecord { line: 12, text: String::new(), value: None, vars: vec![] },
-            }],
-            truncated: false,
-            pruned: 0,
-        });
+        db.insert(function("callee", vec![], vec![]));
+        let call = Event::Call {
+            line: 11,
+            callee: "callee".into(),
+            arg_vars: vec![],
+            assigned_to: None,
+            in_condition: false,
+            depth: 0,
+        };
+        db.insert(function(
+            "caller",
+            vec![call],
+            vec![PathRecord { index: 0, events: vec![EventId(0)], output: output(12, "", None) }],
+        ));
         assert!(db.function("callee").is_some());
         assert!(db.function("nope").is_none());
         let callers = db.callers_of("callee");
@@ -378,60 +507,26 @@ mod tests {
     #[test]
     fn any_truncated_reflects_function_records() {
         let mut db = PathDb::new("u");
-        db.insert(FunctionPaths {
-            name: "full".into(),
-            signature: "int full()".into(),
-            params: vec![],
-            line: 1,
-            records: vec![],
-            truncated: false,
-            pruned: 0,
-        });
+        db.insert(function("full", vec![], vec![]));
         assert!(!db.any_truncated());
-        db.insert(FunctionPaths {
-            name: "capped".into(),
-            signature: "int capped()".into(),
-            params: vec![],
-            line: 9,
-            records: vec![],
-            truncated: true,
-            pruned: 0,
-        });
+        db.insert(FunctionPaths { truncated: true, ..function("capped", vec![], vec![]) });
         assert!(db.any_truncated());
     }
 
     #[test]
     fn literal_and_named_returns() {
-        let fp = FunctionPaths {
-            name: "f".into(),
-            signature: "int f()".into(),
-            params: vec![],
-            line: 1,
-            records: vec![
-                PathRecord {
-                    index: 0,
-                    events: vec![],
-                    output: OutputRecord {
-                        line: 2,
-                        text: "0".into(),
-                        value: Some(Sym::int(0)),
-                        vars: vec![],
-                    },
-                },
+        let fp = function(
+            "f",
+            vec![],
+            vec![
+                PathRecord { index: 0, events: vec![], output: output(2, "0", Some(Sym::int(0))) },
                 PathRecord {
                     index: 1,
                     events: vec![],
-                    output: OutputRecord {
-                        line: 3,
-                        text: "err".into(),
-                        value: Some(Sym::input("err")),
-                        vars: vec!["err".into()],
-                    },
+                    output: output(3, "err", Some(Sym::input("err"))),
                 },
             ],
-            truncated: false,
-            pruned: 0,
-        };
+        );
         assert_eq!(fp.literal_returns(), vec![0]);
         assert_eq!(fp.named_returns(), vec!["err"]);
     }
@@ -441,6 +536,16 @@ mod tests {
         let e = state(7, "x");
         assert_eq!(e.line(), 7);
         assert_eq!(e.depth(), 0);
-        assert!(e.atoms().contains(&"x"));
+        assert!(e.mentions("x"));
+        let call = Event::Call {
+            line: 1,
+            callee: "g".into(),
+            arg_vars: vec!["a".into(), "b".into()],
+            assigned_to: Some("r".into()),
+            in_condition: false,
+            depth: 0,
+        };
+        assert_eq!(call.atoms().collect::<Vec<_>>(), ["a", "b", "g"]);
+        assert!(!call.mentions("r"), "the assignment target is not an atom");
     }
 }

@@ -8,14 +8,19 @@
 //! appended at `depth + 1` — mirroring the paper's "inlines a limited
 //! number of callee functions" design (§4).
 //!
-//! Allocation discipline: one [`Evaluator`] is reused across all paths
-//! of a function (its environment map keeps its capacity), expression
-//! renderings / atom sets / lvalue keys are memoized per [`ExprId`] in
-//! unit-scoped caches, and environment keys are interned [`Istr`]s —
-//! the per-path cost is event construction, not re-deriving the same
-//! strings path after path.
+//! Allocation discipline: events are interned into the function's event
+//! table (see [`crate::event`]) by an [`EventKey`] built from AST ids
+//! and [`Sym`]/[`Istr`] handles — the node that produced the event plus
+//! the values that vary between paths — so an event's strings are built
+//! only the first time its key is seen in the function, and every later
+//! path pushes a `u32`. Callee summaries are interned once per calling
+//! function and spliced as id lists. One
+//! [`Evaluator`] is reused across all paths of a function (its
+//! environment map keeps its capacity), expression renderings / atom
+//! sets / lvalue keys are memoized per [`ExprId`] in unit-scoped
+//! caches, and environment keys are interned [`Istr`]s.
 
-use crate::event::{Event, FunctionPaths, OutputRecord, PathDb, PathRecord};
+use crate::event::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathDb, PathRecord};
 use crate::feasible::FeasibilityOracle;
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
@@ -23,7 +28,7 @@ use pallas_cfg::{
     build_cfg, enumerate_paths_reusing, summarize_loops, CfgPath, Decision, LoopSummary, NoOracle,
     PathConfig, PathScratch,
 };
-use pallas_lang::ast::{AssignOp, Ast, ExprId, ExprKind, StmtKind, UnOp};
+use pallas_lang::ast::{AssignOp, Ast, ExprId, ExprKind, StmtId, StmtKind, UnOp};
 use pallas_lang::{expr_to_string, LineMap};
 use std::collections::{HashMap, HashSet};
 
@@ -69,15 +74,23 @@ impl ExtractConfig {
     /// engine's frontend cache) must include these bytes in their
     /// keys: two configurations with different encodings can produce
     /// different path databases for the same source.
+    ///
+    /// Layout: the four [`PathConfig`] limits as little-endian `u64`s
+    /// (bytes 0–31), then `inline_depth`, `prune_infeasible` and
+    /// `loop_summaries` (bytes 32–34). Both structs are destructured
+    /// exhaustively, so a field added to either one does not compile
+    /// until it is encoded here.
     pub fn cache_key_bytes(&self) -> [u8; 35] {
+        let ExtractConfig { paths, inline_depth, prune_infeasible, loop_summaries } = *self;
+        let PathConfig { max_paths, max_visits, max_len, max_steps } = paths;
         let mut out = [0u8; 35];
-        out[0..8].copy_from_slice(&(self.paths.max_paths as u64).to_le_bytes());
-        out[8..16].copy_from_slice(&(self.paths.max_visits as u64).to_le_bytes());
-        out[16..24].copy_from_slice(&(self.paths.max_len as u64).to_le_bytes());
-        out[24..32].copy_from_slice(&(self.paths.max_steps as u64).to_le_bytes());
-        out[32] = self.inline_depth;
-        out[33] = self.prune_infeasible as u8;
-        out[34] = self.loop_summaries as u8;
+        let limits = [max_paths, max_visits, max_len, max_steps];
+        for (bytes, limit) in out.chunks_exact_mut(8).zip(limits) {
+            bytes.copy_from_slice(&(limit as u64).to_le_bytes());
+        }
+        out[32] = inline_depth;
+        out[33] = prune_infeasible as u8;
+        out[34] = loop_summaries as u8;
         out
     }
 }
@@ -156,7 +169,8 @@ impl<'a> FunctionExtractor<'a> {
 /// (all pure functions of the AST, so they never need invalidation).
 #[derive(Default)]
 struct ExtractCaches {
-    /// Callee summaries keyed by `(function, remaining depth)`.
+    /// Callee summaries keyed by `(function, remaining depth)`, with
+    /// every event already one level deeper (as spliced).
     summaries: HashMap<(Istr, u8), Vec<Event>>,
     summary_hits: u64,
     summary_misses: u64,
@@ -206,6 +220,7 @@ fn extract_function(
         signature: func.sig.to_string(),
         params: func.sig.params.iter().map(|p| p.name.clone()).collect(),
         line: lm.line(func.span.start),
+        events: ev.table,
         records,
         truncated: paths.truncated,
         pruned: paths.pruned,
@@ -213,15 +228,17 @@ fn extract_function(
 }
 
 /// Computes (and memoizes) the summary event set of a callee: the union
-/// of events over all of its extracted paths, deduplicated. `remaining`
+/// of events over all of its extracted paths, deduplicated, each one
+/// level deeper than in the callee's own timeline. `remaining`
 /// is the inlining budget left at the *call site*: the callee's own
 /// extraction gets `remaining - 1`, so a budget of 2 surfaces the
 /// callee's callees' conditions at cumulative depth 2, and so on.
 ///
-/// Returns a borrow of the memoized entry: the caller clones events
-/// only as it splices them, and the union vector itself is inserted
-/// exactly once (no insert-empty-then-overwrite double write of the
-/// final value, no defensive clone of the whole union).
+/// Returns a borrow of the memoized entry: a calling function interns
+/// it into its own event table once and splices the resulting id list,
+/// and the union vector itself is inserted exactly once (no
+/// insert-empty-then-overwrite double write of the final value, no
+/// defensive clone of the whole union).
 fn callee_summary<'c>(
     ast: &Ast,
     lm: &LineMap,
@@ -248,17 +265,53 @@ fn callee_summary<'c>(
         ..*base
     };
     let fp = extract_function(ast, lm, name.as_str(), &sub_config, caches);
+    // Distinct ids first (cheap), then structural dedup: two keys can
+    // build equal events.
+    let mut visited = vec![false; fp.events.len()];
     let mut seen = HashSet::new();
     let mut union = Vec::new();
     for rec in &fp.records {
-        for e in &rec.events {
-            if seen.insert(e) {
-                union.push(e.clone());
+        for &id in &rec.events {
+            let e = &fp.events[id.index()];
+            if !std::mem::replace(&mut visited[id.index()], true) && seen.insert(e) {
+                let mut e = e.clone();
+                match &mut e {
+                    Event::Cond { depth, .. }
+                    | Event::State { depth, .. }
+                    | Event::Call { depth, .. }
+                    | Event::Decl { depth, .. } => *depth += 1,
+                }
+                union.push(e);
             }
         }
     }
     caches.summaries.insert(key, union);
     &caches.summaries[&key]
+}
+
+/// What fully determines an event the evaluator produces (always at
+/// depth 0): the AST node it comes from plus the path-dependent values.
+/// Two paths producing the same key produce the same event, so the
+/// key — AST ids and [`Sym`]/[`Istr`] handles, cheap to hash — stands
+/// in for the event when interning.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum EventKey {
+    /// The `Decl` of a declaration statement.
+    Decl(StmtId),
+    /// The initializing `State` of a declaration, with its value.
+    Init(StmtId, Sym),
+    /// The `State` written by an assignment or `++`/`--` expression.
+    Write(ExprId, Sym),
+    /// A branch condition, the arm taken, and the condition's value.
+    Branch(ExprId, bool, Sym),
+    /// A switch scrutinee, its case label (`None` = `default`), and
+    /// the scrutinee's value.
+    Switch(ExprId, Option<ExprId>, Sym),
+    /// A ternary condition and its value.
+    Ternary(ExprId, Sym),
+    /// A call expression, the lvalue its result was assigned to, and
+    /// whether it sat inside a flow-control condition.
+    Call(ExprId, Option<Istr>, bool),
 }
 
 struct Evaluator<'a> {
@@ -268,7 +321,18 @@ struct Evaluator<'a> {
     env: HashMap<Istr, Sym>,
     temp_counter: u32,
     in_condition: u32,
-    events: Vec<Event>,
+    /// The function's event table under construction.
+    table: Vec<Event>,
+    /// Interning index over `table`.
+    index: HashMap<EventKey, EventId>,
+    /// Callee summaries already interned into `table`.
+    spliced: HashMap<Istr, Vec<EventId>>,
+    /// The current path's timeline.
+    path: Vec<EventId>,
+    /// The current path's depth-0 calls whose result has not been
+    /// assigned yet: `(timeline position, call expr, in condition)`,
+    /// most recent last.
+    unassigned_calls: Vec<(usize, ExprId, bool)>,
     caches: &'a mut ExtractCaches,
 }
 
@@ -286,7 +350,11 @@ impl<'a> Evaluator<'a> {
             env: HashMap::new(),
             temp_counter: 0,
             in_condition: 0,
-            events: Vec::new(),
+            table: Vec::new(),
+            index: HashMap::new(),
+            spliced: HashMap::new(),
+            path: Vec::new(),
+            unassigned_calls: Vec::new(),
             caches,
         }
     }
@@ -304,7 +372,8 @@ impl<'a> Evaluator<'a> {
         self.env.clear();
         self.temp_counter = 0;
         self.in_condition = 0;
-        self.events.clear();
+        self.path.clear();
+        self.unassigned_calls.clear();
         // Parameters start as symbolic inputs of their own name.
         // (The environment defaults to `Input(name)` on lookup, so
         // nothing to seed.)
@@ -368,7 +437,43 @@ impl<'a> Evaluator<'a> {
                 vars: Vec::new(),
             },
         };
-        PathRecord { index, events: std::mem::take(&mut self.events), output }
+        PathRecord { index, events: self.path.to_vec(), output }
+    }
+
+    /// Appends the event named by `key` to the current path, building
+    /// it (and its strings) only if the function has not seen `key`.
+    fn push(&mut self, key: EventKey, build: impl FnOnce(&mut Self) -> Event) {
+        let id = self.intern(key, build);
+        self.path.push(id);
+    }
+
+    fn intern(&mut self, key: EventKey, build: impl FnOnce(&mut Self) -> Event) -> EventId {
+        if let Some(&id) = self.index.get(&key) {
+            return id;
+        }
+        let event = build(self);
+        let id = EventId(self.table.len() as u32);
+        self.table.push(event);
+        self.index.insert(key, id);
+        id
+    }
+
+    /// Appends a callee's summary to the current path, interning it
+    /// into the table on the function's first call to `callee`.
+    fn splice_summary(&mut self, callee: Istr) {
+        if let Some(ids) = self.spliced.get(&callee) {
+            self.caches.summary_hits += 1;
+            self.path.extend_from_slice(ids);
+            return;
+        }
+        let remaining = self.config.inline_depth;
+        let summary =
+            callee_summary(self.ast, self.lm, callee, remaining, self.config, self.caches);
+        let first = self.table.len() as u32;
+        self.table.extend_from_slice(summary);
+        let ids: Vec<EventId> = (first..self.table.len() as u32).map(EventId).collect();
+        self.path.extend_from_slice(&ids);
+        self.spliced.insert(callee, ids);
     }
 
     fn line_of(&self, e: ExprId) -> u32 {
@@ -391,7 +496,7 @@ impl<'a> Evaluator<'a> {
         match &stmt.kind {
             StmtKind::Decl { name, init, .. } => {
                 let line = self.lm.line(stmt.span.start);
-                self.events.push(Event::Decl {
+                self.push(EventKey::Decl(id), |_| Event::Decl {
                     line,
                     name: name.clone(),
                     has_init: init.is_some(),
@@ -399,19 +504,19 @@ impl<'a> Evaluator<'a> {
                 });
                 match init {
                     Some(e) => {
-                        let value = self.eval(*e);
-                        let value = self.detemporalize_call(value, name);
-                        let text = format!("{name} = {}", self.text_of(*e));
-                        let reads = self.atoms_of(*e);
-                        self.events.push(Event::State {
+                        let e = *e;
+                        let key = Istr::new(name);
+                        let value = self.eval(e);
+                        let value = self.detemporalize_call(value, key);
+                        self.push(EventKey::Init(id, value), |ev| Event::State {
                             line,
                             lvalue: name.clone(),
                             value,
-                            text,
-                            reads,
+                            text: format!("{name} = {}", ev.text_of(e)),
+                            reads: ev.atoms_of(e),
                             depth: 0,
                         });
-                        self.env.insert(Istr::new(name), value);
+                        self.env.insert(key, value);
                     }
                     None => {
                         // Declared but uninitialized: poison so reads
@@ -433,14 +538,13 @@ impl<'a> Evaluator<'a> {
                 self.in_condition += 1;
                 let sym = self.eval(*cond);
                 self.in_condition -= 1;
-                let text = self.text_of(*cond);
-                let vars = self.atoms_of(*cond);
-                self.events.push(Event::Cond {
-                    line: self.line_of(*cond),
-                    text,
-                    symbolic: sym.to_string(),
-                    vars,
-                    taken: Some(*taken),
+                let (cond, taken) = (*cond, *taken);
+                self.push(EventKey::Branch(cond, taken, sym), |ev| Event::Cond {
+                    line: ev.line_of(cond),
+                    text: ev.text_of(cond),
+                    symbolic: CondSym { value: sym, suffix: String::new() },
+                    vars: ev.atoms_of(cond),
+                    taken: Some(taken),
                     depth: 0,
                 });
             }
@@ -448,25 +552,27 @@ impl<'a> Evaluator<'a> {
                 self.in_condition += 1;
                 let sym = self.eval(*scrutinee);
                 self.in_condition -= 1;
-                let case_text = case
-                    .map(|c| format!(" == case {}", self.text_of(c)))
-                    .unwrap_or_else(|| " == default".to_string());
-                let mut vars = self.atoms_of(*scrutinee);
-                if let Some(c) = case {
-                    for atom in self.atoms_of(*c) {
-                        if !vars.contains(&atom) {
-                            vars.push(atom);
+                let (scrutinee, case) = (*scrutinee, *case);
+                self.push(EventKey::Switch(scrutinee, case, sym), |ev| {
+                    let suffix = case
+                        .map(|c| format!(" == case {}", ev.text_of(c)))
+                        .unwrap_or_else(|| " == default".to_string());
+                    let mut vars = ev.atoms_of(scrutinee);
+                    if let Some(c) = case {
+                        for atom in ev.atoms_of(c) {
+                            if !vars.contains(&atom) {
+                                vars.push(atom);
+                            }
                         }
                     }
-                }
-                let text = format!("{}{case_text}", self.text_of(*scrutinee));
-                self.events.push(Event::Cond {
-                    line: self.line_of(*scrutinee),
-                    text,
-                    symbolic: format!("{sym}{case_text}"),
-                    vars,
-                    taken: None,
-                    depth: 0,
+                    Event::Cond {
+                        line: ev.line_of(scrutinee),
+                        text: format!("{}{suffix}", ev.text_of(scrutinee)),
+                        symbolic: CondSym { value: sym, suffix },
+                        vars,
+                        taken: None,
+                        depth: 0,
+                    }
                 });
             }
         }
@@ -477,20 +583,23 @@ impl<'a> Evaluator<'a> {
     }
 
     /// If the value is a raw call result, rewrite it as a `V#` temp (the
-    /// Table 5 convention) and point the most recent Call event at the
-    /// assigned lvalue.
-    fn detemporalize_call(&mut self, value: Sym, lvalue: &str) -> Sym {
+    /// Table 5 convention) and point the most recent unassigned Call
+    /// event at the assigned lvalue, by re-interning it under its
+    /// assigned key. Only the function's own call events qualify —
+    /// summary events spliced from callees sit at depth > 0 and must
+    /// not absorb the assignment.
+    fn detemporalize_call(&mut self, value: Sym, lvalue: Istr) -> Sym {
         if let SymNode::Call { .. } = value.node() {
-            for e in self.events.iter_mut().rev() {
-                // Only the function's own call events qualify — summary
-                // events spliced from callees sit at depth > 0 and must
-                // not absorb the assignment.
-                if let Event::Call { assigned_to, depth: 0, .. } = e {
-                    if assigned_to.is_none() {
+            if let Some((at, call, in_condition)) = self.unassigned_calls.pop() {
+                let unassigned = self.path[at];
+                let key = EventKey::Call(call, Some(lvalue), in_condition);
+                self.path[at] = self.intern(key, |ev| {
+                    let mut event = ev.table[unassigned.index()].clone();
+                    if let Event::Call { assigned_to, .. } = &mut event {
                         *assigned_to = Some(lvalue.to_string());
-                        break;
                     }
-                }
+                    event
+                });
             }
             self.temp_counter += 1;
             return Sym::temp(self.temp_counter);
@@ -568,14 +677,12 @@ impl<'a> Evaluator<'a> {
                             value,
                             Sym::int(delta),
                         );
-                        let text = self.text_of(e);
-                        let reads = self.atoms_of(inner);
-                        self.events.push(Event::State {
-                            line: self.line_of(e),
+                        self.push(EventKey::Write(e, new), |ev| Event::State {
+                            line: ev.line_of(e),
                             lvalue: key.to_string(),
                             value: new,
-                            text,
-                            reads,
+                            text: ev.text_of(e),
+                            reads: ev.atoms_of(inner),
                             depth: 0,
                         });
                         self.env.insert(key, new);
@@ -620,23 +727,24 @@ impl<'a> Evaluator<'a> {
                         Sym::binary(bin, cur, rhs_value)
                     }
                 };
-                value = self.detemporalize_call(value, key.as_str());
-                let mut reads = self.atoms_of(rhs);
-                if matches!(op, AssignOp::Compound(_)) {
-                    for a in self.atoms_of(lhs) {
-                        if !reads.contains(&a) {
-                            reads.push(a);
+                value = self.detemporalize_call(value, key);
+                self.push(EventKey::Write(e, value), |ev| {
+                    let mut reads = ev.atoms_of(rhs);
+                    if matches!(op, AssignOp::Compound(_)) {
+                        for a in ev.atoms_of(lhs) {
+                            if !reads.contains(&a) {
+                                reads.push(a);
+                            }
                         }
                     }
-                }
-                let text = self.text_of(e);
-                self.events.push(Event::State {
-                    line: self.line_of(e),
-                    lvalue: key.to_string(),
-                    value,
-                    text,
-                    reads,
-                    depth: 0,
+                    Event::State {
+                        line: ev.line_of(e),
+                        lvalue: key.to_string(),
+                        value,
+                        text: ev.text_of(e),
+                        reads,
+                        depth: 0,
+                    }
                 });
                 self.env.insert(key, value);
                 value
@@ -646,13 +754,11 @@ impl<'a> Evaluator<'a> {
                 self.in_condition += 1;
                 let sym = self.eval(c);
                 self.in_condition -= 1;
-                let text = self.text_of(c);
-                let vars = self.atoms_of(c);
-                self.events.push(Event::Cond {
-                    line: self.line_of(c),
-                    text,
-                    symbolic: sym.to_string(),
-                    vars,
+                self.push(EventKey::Ternary(c, sym), |ev| Event::Cond {
+                    line: ev.line_of(c),
+                    text: ev.text_of(c),
+                    symbolic: CondSym { value: sym, suffix: String::new() },
+                    vars: ev.atoms_of(c),
                     taken: None,
                     depth: 0,
                 });
@@ -666,44 +772,30 @@ impl<'a> Evaluator<'a> {
             }
             ExprKind::Call { callee, args } => {
                 let callee_name = Istr::new(&self.text_of(*callee));
-                let mut arg_syms = Vec::with_capacity(args.len());
-                let mut arg_vars = Vec::new();
-                for &a in args {
-                    arg_syms.push(self.eval(a));
-                    for atom in self.atoms_of(a) {
-                        if !arg_vars.contains(&atom) {
-                            arg_vars.push(atom);
+                let arg_syms: Vec<Sym> = args.iter().map(|&a| self.eval(a)).collect();
+                let in_condition = self.in_condition > 0;
+                self.unassigned_calls.push((self.path.len(), e, in_condition));
+                self.push(EventKey::Call(e, None, in_condition), |ev| {
+                    let mut arg_vars = Vec::new();
+                    for &a in args {
+                        for atom in ev.atoms_of(a) {
+                            if !arg_vars.contains(&atom) {
+                                arg_vars.push(atom);
+                            }
                         }
                     }
-                }
-                self.events.push(Event::Call {
-                    line: self.line_of(e),
-                    callee: callee_name.to_string(),
-                    arg_vars,
-                    assigned_to: None,
-                    in_condition: self.in_condition > 0,
-                    depth: 0,
+                    Event::Call {
+                        line: ev.line_of(e),
+                        callee: callee_name.to_string(),
+                        arg_vars,
+                        assigned_to: None,
+                        in_condition,
+                        depth: 0,
+                    }
                 });
                 // Summary-inline same-unit callees.
                 if self.config.inline_depth > 0 && ast.function(callee_name.as_str()).is_some() {
-                    let summary = callee_summary(
-                        ast,
-                        self.lm,
-                        callee_name,
-                        self.config.inline_depth,
-                        self.config,
-                        self.caches,
-                    );
-                    for ev in summary {
-                        let mut ev = ev.clone();
-                        match &mut ev {
-                            Event::Cond { depth, .. }
-                            | Event::State { depth, .. }
-                            | Event::Call { depth, .. }
-                            | Event::Decl { depth, .. } => *depth += 1,
-                        }
-                        self.events.push(ev);
-                    }
+                    self.splice_summary(callee_name);
                 }
                 Sym::call(callee_name, arg_syms)
             }
@@ -750,11 +842,30 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_byte_layout_is_stable() {
+        // Persisted store keys and frontend fingerprints hash these
+        // bytes: the layout must not drift.
+        let config = ExtractConfig {
+            paths: PathConfig { max_paths: 1, max_visits: 2, max_len: 3, max_steps: 0x0405 },
+            inline_depth: 6,
+            prune_infeasible: true,
+            loop_summaries: false,
+        };
+        let mut expected = [0u8; 35];
+        expected[0] = 1;
+        expected[8] = 2;
+        expected[16] = 3;
+        expected[24..26].copy_from_slice(&[5, 4]);
+        expected[32..35].copy_from_slice(&[6, 1, 0]);
+        assert_eq!(config.cache_key_bytes(), expected);
+    }
+
+    #[test]
     fn straight_line_states_recorded() {
         let db = db_of("int f(int x) {\n  int y = x + 1;\n  y = y * 2;\n  return y;\n}");
         let f = db.function("f").unwrap();
         assert_eq!(f.records.len(), 1);
-        let rec = &f.records[0];
+        let rec = f.path(0);
         let states: Vec<_> = rec.states().collect();
         assert_eq!(states.len(), 2);
         match &states[1] {
@@ -781,7 +892,7 @@ mod tests {
         let db = db_of("int f(int x) {\n  if (x > 0)\n    return 1;\n  return 0;\n}");
         let f = db.function("f").unwrap();
         assert_eq!(f.records.len(), 2);
-        for rec in &f.records {
+        for rec in f.paths() {
             assert!(rec.checks_atom("x"));
             assert_eq!(rec.conditions().count(), 1);
         }
@@ -799,7 +910,7 @@ mod tests {
              }",
         );
         let f = db.function("f").unwrap();
-        let rec = &f.records[0];
+        let rec = f.path(0);
         let lvalues: Vec<&str> = rec
             .states()
             .map(|e| match e {
@@ -823,7 +934,7 @@ mod tests {
              }",
         );
         let f = db.function("f").unwrap();
-        let rec = &f.records[0];
+        let rec = f.path(0);
         let call = rec.calls().next().unwrap();
         match call {
             Event::Call { callee, assigned_to, in_condition, arg_vars, .. } => {
@@ -843,7 +954,7 @@ mod tests {
              int f(int x) { if (ok(x)) return 1; return 0; }",
         );
         let f = db.function("f").unwrap();
-        let call = f.records[0].calls().next().unwrap();
+        let call = f.path(0).calls().next().unwrap();
         assert!(matches!(call, Event::Call { in_condition: true, .. }));
     }
 
@@ -851,7 +962,7 @@ mod tests {
     fn compound_assignment_reads_lhs() {
         let db = db_of("int f(int x) { x |= 4; return x; }");
         let f = db.function("f").unwrap();
-        let st = f.records[0].states().next().unwrap();
+        let st = f.path(0).states().next().unwrap();
         match st {
             Event::State { lvalue, reads, .. } => {
                 assert_eq!(lvalue, "x");
@@ -865,14 +976,14 @@ mod tests {
     fn increment_is_a_state_update() {
         let db = db_of("int f(int i) { i++; return i; }");
         let f = db.function("f").unwrap();
-        assert_eq!(f.records[0].states().count(), 1);
+        assert_eq!(f.path(0).states().count(), 1);
     }
 
     #[test]
     fn ternary_condition_recorded() {
         let db = db_of("int f(int flag) { return flag ? 1 : 0; }");
         let f = db.function("f").unwrap();
-        assert!(f.records[0].checks_atom("flag"));
+        assert!(f.path(0).checks_atom("flag"));
     }
 
     #[test]
@@ -889,8 +1000,7 @@ mod tests {
         let db = db_of(src);
         let f = db.function("f").unwrap();
         // The callee's `err == -5` check appears at depth 1.
-        let has_inlined_cond = f.records[0]
-            .conditions()
+        let has_inlined_cond = f.path(0).conditions()
             .any(|e| matches!(e, Event::Cond { depth: 1, vars, .. } if vars.iter().any(|v| v == "err")));
         assert!(has_inlined_cond);
         // With inlining disabled it does not.
@@ -902,7 +1012,7 @@ mod tests {
             &ExtractConfig { inline_depth: 0, ..ExtractConfig::default() },
         );
         let f0 = db0.function("f").unwrap();
-        assert_eq!(f0.records[0].conditions().count(), 0);
+        assert_eq!(f0.path(0).conditions().count(), 0);
     }
 
     #[test]
@@ -917,7 +1027,7 @@ mod tests {
             "int f(int mode) { switch (mode) { case 1: return 1; default: return 0; } }",
         );
         let f = db.function("f").unwrap();
-        assert!(f.records.iter().all(|r| r.checks_atom("mode")));
+        assert!(f.paths().all(|r| r.checks_atom("mode")));
         assert_eq!(f.records.len(), 2);
     }
 
@@ -932,7 +1042,7 @@ mod tests {
              }",
         );
         let f = db.function("f").unwrap();
-        let rec = &f.records[0];
+        let rec = f.path(0);
         assert!(rec.checks_atom("rps_flow_table"));
         assert!(rec.checks_atom("rxq->rps_flow_table"));
         assert!(rec.checks_atom("rxq"));
@@ -954,8 +1064,8 @@ mod tests {
         let f = db.function("f").unwrap();
         // At least one path iterates and thus records the i++ state.
         let any_step = f
-            .records
-            .iter()
+            
+            .paths()
             .any(|r| r.states().any(|e| matches!(e, Event::State { lvalue, .. } if lvalue == "i")));
         assert!(any_step);
     }

@@ -31,7 +31,7 @@ pub mod sym;
 pub mod table5;
 
 pub use callgraph::CallGraph;
-pub use event::{Event, FunctionPaths, OutputRecord, PathDb, PathRecord};
+pub use event::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathDb, PathRecord, PathView};
 pub use extract::{extract, ExtractConfig, FunctionExtractor};
 pub use feasible::{path_feasibility, ConstraintSet, Feasibility, FeasibilityOracle};
 pub use intern::Istr;

@@ -39,8 +39,8 @@ impl DbStats {
             if func.truncated {
                 s.truncated_functions += 1;
             }
-            for rec in &func.records {
-                for e in &rec.events {
+            for rec in func.paths() {
+                for e in rec.events() {
                     s.events += 1;
                     if e.depth() > 0 {
                         s.inlined_events += 1;

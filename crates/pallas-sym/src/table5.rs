@@ -5,14 +5,15 @@
 //! `Condition`, `State`, and `Output` — with `L#` line numbers and the
 //! `S#/I#/V#/E#` symbol notation.
 
-use crate::event::{Event, FunctionPaths, PathRecord};
+use crate::event::{Event, FunctionPaths, PathView};
 use pallas_spec::FastPathSpec;
 
-/// Renders one path of `func` as a Table 5-style listing.
+/// Renders one path of `func` as a Table 5-style listing. This is where
+/// condition values are first rendered to `S#/I#/V#/E#` text.
 ///
 /// `spec` supplies the `Input` section (`@immutable`, `@cond`,
 /// `@order`); pass a default spec to omit user facts.
-pub fn render_table5(func: &FunctionPaths, record: &PathRecord, spec: &FastPathSpec) -> String {
+pub fn render_table5(func: &FunctionPaths, path: PathView<'_>, spec: &FastPathSpec) -> String {
     let mut out = String::new();
     let mut row = |section: &str, line: Option<u32>, text: &str| {
         match line {
@@ -33,12 +34,12 @@ pub fn render_table5(func: &FunctionPaths, record: &PathRecord, spec: &FastPathS
 
     row("Signature", Some(func.line), &func.signature);
 
-    for e in &record.events {
+    for e in path.conditions() {
         if let Event::Cond { line, symbolic, .. } = e {
-            row("Condition", Some(*line), symbolic);
+            row("Condition", Some(*line), &symbolic.to_string());
         }
     }
-    for e in &record.events {
+    for e in path.events() {
         match e {
             Event::State { line, lvalue, value, .. } => {
                 row("State", Some(*line), &format!("{lvalue} = {value}"));
@@ -52,8 +53,8 @@ pub fn render_table5(func: &FunctionPaths, record: &PathRecord, spec: &FastPathS
 
     row(
         "Output",
-        Some(record.output.line),
-        if record.output.text.is_empty() { "(void)" } else { &record.output.text },
+        Some(path.output.line),
+        if path.output.text.is_empty() { "(void)" } else { &path.output.text },
     );
     out
 }
@@ -87,7 +88,7 @@ int __alloc_pages_nodemask(gfp_t gfp_mask, int order) {
         let spec = pallas_spec::FastPathSpec::new("mm")
             .with_immutable("gfp_mask")
             .with_cond("order0", &["order"]);
-        let listing = render_table5(f, &f.records[0], &spec);
+        let listing = render_table5(f, f.path(0), &spec);
         assert!(listing.contains("@immutable = gfp_mask"), "{listing}");
         assert!(listing.contains("Signature"), "{listing}");
         assert!(listing.contains("__alloc_pages_nodemask"), "{listing}");
@@ -104,7 +105,7 @@ int __alloc_pages_nodemask(gfp_t gfp_mask, int order) {
         let ast = parse(src).unwrap();
         let db = extract("u", &ast, src, &ExtractConfig::default());
         let f = db.function("f").unwrap();
-        let listing = render_table5(f, &f.records[0], &pallas_spec::FastPathSpec::default());
+        let listing = render_table5(f, f.path(0), &pallas_spec::FastPathSpec::default());
         assert!(listing.contains("(void)"));
     }
 }

@@ -101,5 +101,5 @@ fn function_with_params_but_empty_body() {
     let db = db_of("int noop(int a, int b, int c) { }");
     let f = db.function("noop").unwrap();
     assert_eq!(f.records.len(), 1);
-    assert!(f.records[0].states().next().is_none(), "no state events");
+    assert!(f.path(0).states().next().is_none(), "no state events");
 }

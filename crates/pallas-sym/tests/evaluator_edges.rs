@@ -11,8 +11,7 @@ fn db_of(src: &str) -> PathDb {
 }
 
 fn states_of<'a>(db: &'a PathDb, f: &str, path: usize) -> Vec<(&'a str, Sym)> {
-    db.function(f).unwrap().records[path]
-        .states()
+    db.function(f).unwrap().path(path).states()
         .map(|e| match e {
             Event::State { lvalue, value, .. } => (lvalue.as_str(), *value),
             _ => unreachable!(),
@@ -39,8 +38,7 @@ fn nested_call_arguments_evaluated_inside_out() {
          int f(int x) { return outer(inner(x)); }",
     );
     let f = db.function("f").unwrap();
-    let callees: Vec<&str> = f.records[0]
-        .calls()
+    let callees: Vec<&str> = f.path(0).calls()
         .map(|e| match e {
             Event::Call { callee, .. } => callee.as_str(),
             _ => unreachable!(),
@@ -56,8 +54,7 @@ fn call_result_assignment_points_at_outermost_call() {
          int f(int x) { int r = outer(inner(x)); return r; }",
     );
     let f = db.function("f").unwrap();
-    let assigned: Vec<(&str, Option<&str>)> = f.records[0]
-        .calls()
+    let assigned: Vec<(&str, Option<&str>)> = f.path(0).calls()
         .map(|e| match e {
             Event::Call { callee, assigned_to, .. } => {
                 (callee.as_str(), assigned_to.as_deref())
@@ -81,7 +78,7 @@ fn casts_are_transparent_to_values() {
 fn comma_expression_evaluates_both_sides() {
     let db = db_of("int g(int v);\nint f(int a) { int x = (g(a), 3); return x; }");
     let f = db.function("f").unwrap();
-    assert_eq!(f.records[0].calls().count(), 1, "left side effect kept");
+    assert_eq!(f.path(0).calls().count(), 1, "left side effect kept");
     assert_eq!(f.records[0].output.value, Some(Sym::int(3)));
 }
 
@@ -89,7 +86,7 @@ fn comma_expression_evaluates_both_sides() {
 fn string_arguments_do_not_pollute_atoms() {
     let db = db_of(r#"int printk(const char *fmt, ...); int f(int n) { printk("n=%d\n", n); return 0; }"#);
     let f = db.function("f").unwrap();
-    let call = f.records[0].calls().next().unwrap();
+    let call = f.path(0).calls().next().unwrap();
     match call {
         Event::Call { arg_vars, .. } => {
             assert_eq!(arg_vars, &vec!["n".to_string()], "{arg_vars:?}");
@@ -166,7 +163,7 @@ fn unknown_function_pointerish_callee_rendered() {
     );
     // Just reading a member named like a function is a plain read.
     let f = db.function("f").unwrap();
-    assert_eq!(f.records[0].calls().count(), 0);
+    assert_eq!(f.path(0).calls().count(), 0);
     assert_eq!(
         f.records[0].output.value,
         Some(Sym::input("o->run"))

@@ -424,8 +424,8 @@ fn variant_source(seed: u64) -> String {
 fn db_syms(db: &pallas_sym::PathDb) -> Vec<Sym> {
     let mut out = Vec::new();
     for f in &db.functions {
-        for rec in &f.records {
-            for ev in &rec.events {
+        for rec in f.paths() {
+            for ev in rec.events() {
                 if let Event::State { value, .. } = ev {
                     out.push(*value);
                 }
@@ -443,8 +443,8 @@ fn db_syms(db: &pallas_sym::PathDb) -> Vec<Sym> {
 fn event_multiset(db: &pallas_sym::PathDb) -> Vec<String> {
     let mut out = Vec::new();
     for f in &db.functions {
-        for rec in &f.records {
-            for ev in &rec.events {
+        for rec in f.paths() {
+            for ev in rec.events() {
                 out.push(format!("{}:{}:{ev:?}", f.name, rec.index));
             }
             out.push(format!("{}:{}:out:{:?}", f.name, rec.index, rec.output));

@@ -64,7 +64,7 @@ fn main() {
 
     println!("\n== symbolic record of the fast path's first path ==\n");
     let fp = analyzed.db.function("rmqueue").expect("extracted");
-    print!("{}", render_table5(fp, &fp.records[0], &analyzed.spec));
+    print!("{}", render_table5(fp, fp.path(0), &analyzed.spec));
 
     println!("\n== database statistics ==\n");
     println!("{}", DbStats::compute(&analyzed.db));

@@ -38,8 +38,7 @@ fn main() {
     // Show the path that reaches the slow branch, where the overwrite
     // happens.
     let rec = f
-        .records
-        .iter()
+        .paths()
         .find(|r| {
             r.states().any(
                 |e| matches!(e, pallas::sym::Event::State { lvalue, .. } if lvalue == "gfp_mask"),

@@ -278,4 +278,13 @@ SYM_STRINGS="$(sym_field strings)"
   || { echo "ci: warm/cold speedup below $(($MIN_SPEEDUP_X10))x/10: cold=${SYM_COLD}us warm=${SYM_WARM}us" >&2; exit 1; }
 echo "sym-bench gate: ok (cold=${SYM_COLD}us warm=${SYM_WARM}us nodes=${SYM_NODES} strings=${SYM_STRINGS})"
 
+echo "== perfbench self-test (quick sizes, pinned digests) =="
+# `perfbench --bench --quick` over all four workloads
+# (perfbench/tests/quick.rs): every BENCHMARK.json metric is reported,
+# no operation fails, Table 1 scores 224/155, the pinned deep_paths and
+# warm_restart findings digests hold, and a wrong pinned digest fails
+# the run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench self-test: ok"
+
 echo "ci: all green"

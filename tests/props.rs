@@ -206,8 +206,8 @@ proptest! {
         let db = pallas::sym::extract("prop", &ast, &src, &pallas::sym::ExtractConfig::default());
         let max_line = src.lines().count() as u32;
         for func in &db.functions {
-            for rec in &func.records {
-                for e in &rec.events {
+            for rec in func.paths() {
+                for e in rec.events() {
                     prop_assert!(e.line() >= 1 && e.line() <= max_line);
                 }
             }
