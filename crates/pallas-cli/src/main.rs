@@ -116,6 +116,20 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// The extraction configuration from the ablation flags `check` and
+/// `serve` share: `--no-prune` disables the path-feasibility engine,
+/// re-enumerating contradictory arms; `--no-loop-summaries` disables
+/// the per-loop effect summaries (loop-exit havoc + in-loop
+/// asserting) — both useful for comparing against the default
+/// (Ablations 4 and 5).
+fn extract_config(args: &[String]) -> ExtractConfig {
+    ExtractConfig {
+        prune_infeasible: !has_flag(args, "--no-prune"),
+        loop_summaries: !has_flag(args, "--no-loop-summaries"),
+        ..ExtractConfig::default()
+    }
+}
+
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
@@ -302,18 +316,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         pallas_trace::start();
         guard
     });
-    // `--no-prune` disables the path-feasibility engine, re-enumerating
-    // contradictory arms; `--no-loop-summaries` disables the per-loop
-    // effect summaries (loop-exit havoc + in-loop asserting) — both
-    // useful for comparing against the default (Ablations 4 and 5).
     // The rule selection joins the extraction config in the engine
     // configuration, so it participates in every cache key.
     let engine = Engine::with_engine_config(EngineConfig {
-        extract: ExtractConfig {
-            prune_infeasible: !has_flag(args, "--no-prune"),
-            loop_summaries: !has_flag(args, "--no-loop-summaries"),
-            ..ExtractConfig::default()
-        },
+        extract: extract_config(args),
         rules: rule_selection(args)?,
         store_path: flag_value(args, "--store").map(std::path::PathBuf::from),
         ..EngineConfig::default()
@@ -488,11 +494,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         trace: has_flag(args, "--trace"),
         coalesce: !has_flag(args, "--no-coalesce"),
         engine: EngineConfig {
-            extract: ExtractConfig {
-                prune_infeasible: !has_flag(args, "--no-prune"),
-                loop_summaries: !has_flag(args, "--no-loop-summaries"),
-                ..ExtractConfig::default()
-            },
+            extract: extract_config(args),
             rules: rule_selection(args)?,
             store_path: flag_value(args, "--store").map(std::path::PathBuf::from),
             ..defaults.engine.clone()

@@ -112,28 +112,9 @@ pub fn render_stage_stats(unit: &AnalyzedUnit) -> String {
     out
 }
 
-/// Escapes `s` as the contents of a JSON string literal (quotes not
-/// included), appending to `out`. Control characters, `"`, and `\` are
-/// escaped; everything else passes through as UTF-8. The appending form
-/// is the primitive: render paths that emit many findings reuse one
-/// buffer instead of allocating a `String` per field.
-pub fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+/// The workspace's one JSON string escaper, defined in the lowest
+/// crate that writes JSON and re-exported for report renderers.
+pub use pallas_trace::json_escape_into;
 
 /// Allocating convenience wrapper over [`json_escape_into`].
 pub fn json_escape(s: &str) -> String {

@@ -87,7 +87,7 @@ fn may_write_covers_every_body_write() {
         let g = generate_with(seed, &loopy());
         let ast = &g.ast;
         for func in ast.functions() {
-            let cfg = build_cfg(ast, &func);
+            let cfg = build_cfg(ast, func);
             let naturals = find_loops(&cfg);
             let summaries = summarize_loops(ast, &cfg);
             assert_eq!(
@@ -189,7 +189,7 @@ fn summary_pruning_yields_a_path_subset() {
         let g = generate_with(seed, &loopy());
         let ast = &g.ast;
         for func in ast.functions() {
-            let cfg = build_cfg(ast, &func);
+            let cfg = build_cfg(ast, func);
             let full = enumerate_paths(&cfg, &config);
             let mut oracle = FeasibilityOracle::new(ast);
             let pruned = enumerate_paths_with(&cfg, &config, &mut oracle);

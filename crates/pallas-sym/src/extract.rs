@@ -178,6 +178,12 @@ struct ExtractCaches {
     texts: HashMap<ExprId, String>,
     /// Canonical lvalue key, `None` for non-lvalues.
     lvalues: HashMap<ExprId, Option<Istr>>,
+    /// Interned declared names.
+    decls: HashMap<StmtId, Istr>,
+    /// Interned callee names (keyed by the callee expression).
+    callees: HashMap<ExprId, Istr>,
+    /// Values of constant leaves: string literals and `sizeof(T)`.
+    leaves: HashMap<ExprId, Sym>,
     /// Name atoms mentioned by an expression.
     atoms: HashMap<ExprId, Vec<String>>,
     /// Reused DFS buffers for path enumeration (one per unit, warm
@@ -211,9 +217,9 @@ fn extract_function(
     let summaries = if config.loop_summaries { summarize_loops(ast, &cfg) } else { Vec::new() };
     caches.loops_summarized += summaries.len() as u64;
     let mut records = Vec::with_capacity(paths.paths.len());
-    let mut ev = Evaluator::new(ast, lm, config, caches);
+    let mut ev = Evaluator::new(ast, lm, config, &summaries, caches);
     for (index, path) in paths.paths.iter().enumerate() {
-        records.push(ev.run_path(&cfg, path, index, &summaries));
+        records.push(ev.run_path(&cfg, path, index));
     }
     FunctionPaths {
         name: func.sig.name.clone(),
@@ -333,6 +339,11 @@ struct Evaluator<'a> {
     /// assigned yet: `(timeline position, call expr, in condition)`,
     /// most recent last.
     unassigned_calls: Vec<(usize, ExprId, bool)>,
+    /// The function's loop effect summaries.
+    loops: &'a [LoopSummary],
+    /// Each loop's may-write set as interned keys, built on the
+    /// function's first exit from that loop.
+    havoc_keys: Vec<Option<Vec<Istr>>>,
     caches: &'a mut ExtractCaches,
 }
 
@@ -341,6 +352,7 @@ impl<'a> Evaluator<'a> {
         ast: &'a Ast,
         lm: &'a LineMap,
         config: &'a ExtractConfig,
+        loops: &'a [LoopSummary],
         caches: &'a mut ExtractCaches,
     ) -> Self {
         Evaluator {
@@ -355,6 +367,8 @@ impl<'a> Evaluator<'a> {
             spliced: HashMap::new(),
             path: Vec::new(),
             unassigned_calls: Vec::new(),
+            loops,
+            havoc_keys: vec![None; loops.len()],
             caches,
         }
     }
@@ -362,13 +376,7 @@ impl<'a> Evaluator<'a> {
     /// Interprets one enumerated path, resetting per-path state but
     /// keeping the environment map's capacity and every unit-scoped
     /// memo warm.
-    fn run_path(
-        &mut self,
-        cfg: &pallas_cfg::Cfg,
-        path: &CfgPath,
-        index: usize,
-        loops: &[LoopSummary],
-    ) -> PathRecord {
+    fn run_path(&mut self, cfg: &pallas_cfg::Cfg, path: &CfgPath, index: usize) -> PathRecord {
         self.env.clear();
         self.temp_counter = 0;
         self.in_condition = 0;
@@ -387,10 +395,12 @@ impl<'a> Evaluator<'a> {
             // is a BTreeSet, so havoc order is stable.)
             if i > 0 {
                 let prev = path.blocks[i - 1];
-                for l in loops {
+                for (l, keys) in self.loops.iter().zip(&mut self.havoc_keys) {
                     if l.body.contains(&prev) && !l.body.contains(&bb) {
-                        for key in &l.may_write {
-                            self.env.insert(Istr::new(key), Sym::unknown());
+                        let keys = keys
+                            .get_or_insert_with(|| l.may_write.iter().map(Istr::from).collect());
+                        for &key in keys.iter() {
+                            self.env.insert(key, Sym::unknown());
                             self.caches.vars_havocked += 1;
                         }
                     }
@@ -490,6 +500,17 @@ impl<'a> Evaluator<'a> {
         t
     }
 
+    /// The interned name a declaration binds. Memoized per statement.
+    fn decl_key(&mut self, id: StmtId, name: &str) -> Istr {
+        *self.caches.decls.entry(id).or_insert_with(|| Istr::new(name))
+    }
+
+    /// The value of a constant leaf (`build` runs once per
+    /// expression). Memoized per expression.
+    fn leaf(&mut self, e: ExprId, build: impl FnOnce() -> Sym) -> Sym {
+        *self.caches.leaves.entry(e).or_insert_with(build)
+    }
+
     fn exec_stmt(&mut self, id: pallas_lang::StmtId) {
         let ast = self.ast;
         let stmt = ast.stmt(id);
@@ -505,7 +526,7 @@ impl<'a> Evaluator<'a> {
                 match init {
                     Some(e) => {
                         let e = *e;
-                        let key = Istr::new(name);
+                        let key = self.decl_key(id, name);
                         let value = self.eval(e);
                         let value = self.detemporalize_call(value, key);
                         self.push(EventKey::Init(id, value), |ev| Event::State {
@@ -521,7 +542,8 @@ impl<'a> Evaluator<'a> {
                     None => {
                         // Declared but uninitialized: poison so reads
                         // can be recognized by the init checker.
-                        self.env.insert(Istr::new(name), Sym::unknown());
+                        let key = self.decl_key(id, name);
+                        self.env.insert(key, Sym::unknown());
                     }
                 }
             }
@@ -661,7 +683,7 @@ impl<'a> Evaluator<'a> {
         let ast = self.ast;
         match &ast.expr(e).kind {
             ExprKind::Int(v) => Sym::int(*v),
-            ExprKind::Str(s) => Sym::str_lit(s.as_str()),
+            ExprKind::Str(s) => self.leaf(e, || Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
                 self.env_value(key)
@@ -771,7 +793,14 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Call { callee, args } => {
-                let callee_name = Istr::new(&self.text_of(*callee));
+                let callee_name = match self.caches.callees.get(callee) {
+                    Some(&n) => n,
+                    None => {
+                        let n = Istr::new(&self.text_of(*callee));
+                        self.caches.callees.insert(*callee, n);
+                        n
+                    }
+                };
                 let arg_syms: Vec<Sym> = args.iter().map(|&a| self.eval(a)).collect();
                 let in_condition = self.in_condition > 0;
                 self.unassigned_calls.push((self.path.len(), e, in_condition));
@@ -817,7 +846,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Cast(_, inner) => self.eval(*inner),
-            ExprKind::SizeofType(ty) => Sym::input(format!("sizeof({ty})")),
+            ExprKind::SizeofType(ty) => self.leaf(e, || Sym::input(format!("sizeof({ty})"))),
             ExprKind::SizeofExpr(inner) => {
                 self.eval(*inner);
                 Sym::unknown()

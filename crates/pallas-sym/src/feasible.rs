@@ -44,7 +44,7 @@
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
 use pallas_cfg::{summarize_loops, BlockId, Cfg, CounterDir, Decision, PathOracle, Terminator};
-use pallas_lang::ast::{AssignOp, Ast, BinOp, ExprId, ExprKind, StmtKind, UnOp};
+use pallas_lang::ast::{AssignOp, Ast, BinOp, ExprId, ExprKind, StmtId, StmtKind, UnOp};
 use pallas_lang::expr_to_string;
 use std::collections::{BTreeSet, HashMap};
 
@@ -384,16 +384,24 @@ impl ConstraintSet {
     }
 }
 
-/// Interned `V#n` spellings for small temporaries, so key resolution
-/// allocates nothing on the hot path.
+/// Interned `V#n` spellings, so key resolution neither allocates nor
+/// reaches the interner on the hot path: a shared table for small
+/// temporaries, and a per-thread memo, filled on first use, for the
+/// rest.
 fn temp_key(n: u32) -> Istr {
+    use std::cell::RefCell;
     use std::sync::OnceLock;
     static SMALL: OnceLock<Vec<Istr>> = OnceLock::new();
-    let table = SMALL.get_or_init(|| (0..64).map(|i| Istr::new(&format!("V#{i}"))).collect());
-    match table.get(n as usize) {
-        Some(&k) => k,
-        None => Istr::new(&format!("V#{n}")),
+    thread_local! {
+        static LARGE: RefCell<HashMap<u32, Istr>> = RefCell::new(HashMap::new());
     }
+    let table = SMALL.get_or_init(|| (0..64).map(|i| Istr::new(&format!("V#{i}"))).collect());
+    if let Some(&k) = table.get(n as usize) {
+        return k;
+    }
+    LARGE.with(|large| {
+        *large.borrow_mut().entry(n).or_insert_with(|| Istr::new(&format!("V#{n}")))
+    })
 }
 
 /// The constraint key of a stable symbolic value, if it has one.
@@ -514,6 +522,11 @@ pub struct FeasibilityOracle<'a> {
     reads: HashMap<ExprId, Vec<Istr>>,
     /// Memoized callee-name renderings.
     callees: HashMap<ExprId, Istr>,
+    /// Memoized declared names.
+    decls: HashMap<StmtId, Istr>,
+    /// Memoized values of constant leaves: string literals and
+    /// `sizeof(T)`.
+    leaves: HashMap<ExprId, Sym>,
 }
 
 impl<'a> FeasibilityOracle<'a> {
@@ -533,6 +546,8 @@ impl<'a> FeasibilityOracle<'a> {
             lvalues: HashMap::new(),
             reads: HashMap::new(),
             callees: HashMap::new(),
+            decls: HashMap::new(),
+            leaves: HashMap::new(),
         }
     }
 
@@ -650,20 +665,21 @@ impl<'a> FeasibilityOracle<'a> {
         value
     }
 
-    fn exec_stmt(&mut self, id: pallas_lang::StmtId) {
+    fn exec_stmt(&mut self, id: StmtId) {
         let ast = self.ast;
         let stmt = ast.stmt(id);
         match &stmt.kind {
-            StmtKind::Decl { name, init, .. } => match init {
-                Some(e) => {
-                    let value = self.eval(*e);
-                    let value = self.detemporalize_call(value);
-                    self.bind(Istr::new(name), value);
-                }
-                None => {
-                    self.bind(Istr::new(name), Sym::unknown());
-                }
-            },
+            StmtKind::Decl { name, init, .. } => {
+                let value = match init {
+                    Some(e) => {
+                        let value = self.eval(*e);
+                        self.detemporalize_call(value)
+                    }
+                    None => Sym::unknown(),
+                };
+                let key = *self.decls.entry(id).or_insert_with(|| Istr::new(name));
+                self.bind(key, value);
+            }
             StmtKind::Expr(e) => {
                 self.eval(*e);
             }
@@ -679,7 +695,7 @@ impl<'a> FeasibilityOracle<'a> {
         let ast = self.ast;
         match &ast.expr(e).kind {
             ExprKind::Int(v) => Sym::int(*v),
-            ExprKind::Str(s) => Sym::str_lit(s.as_str()),
+            ExprKind::Str(s) => *self.leaves.entry(e).or_insert_with(|| Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
                 self.lookup(key)
@@ -780,7 +796,9 @@ impl<'a> FeasibilityOracle<'a> {
                 }
             }
             ExprKind::Cast(_, inner) => self.eval(*inner),
-            ExprKind::SizeofType(ty) => Sym::input(format!("sizeof({ty})")),
+            ExprKind::SizeofType(ty) => {
+                *self.leaves.entry(e).or_insert_with(|| Sym::input(format!("sizeof({ty})")))
+            }
             ExprKind::SizeofExpr(inner) => {
                 self.eval(*inner);
                 Sym::unknown()

@@ -15,10 +15,16 @@
 //! cross worker threads in the daemon. Memory grows with the number of
 //! *distinct* identifiers seen, which is small and bounded by the
 //! source under analysis.
+//!
+//! The interner is sharded like the symbol arena ([`crate::sym`]): a
+//! string's shard is a cheap mix of its length and end bytes, and each
+//! shard keeps its own SipHash-keyed set. [`Istr::interned_count`] and
+//! [`Istr::lookup_count`] sum the shards, so both are exact.
 
+use crate::shard::{mix, Sharded};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// An interned, immutable string. `Copy`, pointer-compared.
 ///
@@ -28,20 +34,33 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy)]
 pub struct Istr(&'static str);
 
-fn interner() -> &'static Mutex<HashSet<&'static str>> {
-    static INTERNER: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(HashSet::new()))
+/// The interner's shards, built on first use.
+fn interner() -> &'static Sharded<HashSet<&'static str>> {
+    static INTERNER: OnceLock<Sharded<HashSet<&'static str>>> = OnceLock::new();
+    INTERNER.get_or_init(Sharded::new)
+}
+
+/// The shard hash of a string: its length and its first and last
+/// eight bytes. Identifiers differ mostly at their ends; two strings
+/// that differ only in the middle share a shard, which costs nothing
+/// but contention.
+fn shard_hash(s: &str) -> u64 {
+    let b = s.as_bytes();
+    let word = |bytes: &[u8]| bytes.iter().fold(0u64, |w, &x| w << 8 | u64::from(x));
+    let head = word(&b[..b.len().min(8)]);
+    let tail = word(&b[b.len().saturating_sub(8)..]);
+    mix(mix(mix(0, b.len() as u64), head), tail)
 }
 
 impl Istr {
     /// Interns `s`, returning the canonical handle for its contents.
     pub fn new(s: &str) -> Istr {
-        let mut set = interner().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(found) = set.get(s) {
+        let mut shard = interner().lookup(shard_hash(s));
+        if let Some(found) = shard.table.get(s) {
             return Istr(found);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        set.insert(leaked);
+        shard.table.insert(leaked);
         Istr(leaked)
     }
 
@@ -50,9 +69,21 @@ impl Istr {
         self.0
     }
 
+    /// The address of the interned contents: equal iff the strings
+    /// are, so it stands in for them when the arena picks a shard.
+    pub(crate) fn addr(self) -> usize {
+        self.0.as_ptr() as usize
+    }
+
     /// Number of distinct strings interned so far (for diagnostics).
     pub fn interned_count() -> usize {
-        interner().lock().unwrap_or_else(|e| e.into_inner()).len()
+        interner().sum(HashSet::len)
+    }
+
+    /// Number of interner lookups so far: every [`Istr::new`] call,
+    /// whether it found its string or inserted it.
+    pub fn lookup_count() -> u64 {
+        interner().lookups()
     }
 }
 

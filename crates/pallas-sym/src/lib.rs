@@ -26,6 +26,7 @@ pub mod event;
 pub mod extract;
 pub mod feasible;
 pub mod intern;
+mod shard;
 pub mod stats;
 pub mod sym;
 pub mod table5;
@@ -36,5 +37,5 @@ pub use extract::{extract, ExtractConfig, FunctionExtractor};
 pub use feasible::{path_feasibility, ConstraintSet, Feasibility, FeasibilityOracle};
 pub use intern::Istr;
 pub use stats::DbStats;
-pub use sym::{arena_node_count, Sym, SymNode, MAX_SYM_NODES};
+pub use sym::{arena_lookups, arena_node_count, Sym, SymNode, MAX_SYM_NODES};
 pub use table5::render_table5;

@@ -26,12 +26,30 @@
 //! to the source under analysis rather than to the number of paths
 //! exercised. Pattern-match through [`Sym::node`], which returns the
 //! underlying [`SymNode`].
+//!
+//! # Sharded arena
+//!
+//! Every constructor looks its node up in the arena, and extraction
+//! runs on every core, so the arena is split into 64 independently
+//! locked shards (the crate-private `shard` module). A node's shard is
+//! a cheap mix of its parts, which are already interned: the [`Istr`]
+//! address of a name, the ids of child nodes, the operator and the
+//! integer value. Each shard keeps its own SipHash-keyed map. The
+//! shards are built, empty, on first use.
+//!
+//! Node ids come from one atomic counter, taken inside the inserting
+//! shard's lock. Ids are therefore unique and dense, and a
+//! single-threaded run numbers nodes in interning order.
+//! [`arena_node_count`] and [`arena_lookups`] sum the shards, so both
+//! are exact.
 
 use crate::intern::Istr;
+use crate::shard::{mix, Sharded};
 use pallas_lang::ast::{BinOp, UnOp};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// The structure of one symbolic node. Obtained from [`Sym::node`];
 /// children are themselves interned [`Sym`] handles.
@@ -89,9 +107,37 @@ pub const MAX_SYM_NODES: usize = 256;
 
 const SMALL_INT_MAX: i64 = 128;
 
-fn arena() -> &'static Mutex<HashMap<SymNode, Sym>> {
-    static ARENA: OnceLock<Mutex<HashMap<SymNode, Sym>>> = OnceLock::new();
-    ARENA.get_or_init(|| Mutex::new(HashMap::new()))
+/// The arena's shards, built on first use.
+fn arena() -> &'static Sharded<HashMap<SymNode, Sym>> {
+    static ARENA: OnceLock<Sharded<HashMap<SymNode, Sym>>> = OnceLock::new();
+    ARENA.get_or_init(Sharded::new)
+}
+
+/// The next node id. Taken inside the inserting shard's lock, so a
+/// single-threaded run numbers nodes in interning order. `Relaxed` is
+/// enough: the counter publishes no data (the node reaches other
+/// threads through the shard's lock), and a read-modify-write never
+/// hands out one value twice.
+static NEXT_ID: AtomicU32 = AtomicU32::new(0);
+
+/// The shard hash of a node: a [`mix`] of its parts, which are all
+/// already interned — names by address, children by id — so picking a
+/// shard never walks a tree or a string.
+fn shard_hash(node: &SymNode) -> u64 {
+    match node {
+        SymNode::Input(n) => mix(1, n.addr() as u64),
+        SymNode::Int(v) => mix(2, *v as u64),
+        SymNode::Str(s) => mix(3, s.addr() as u64),
+        SymNode::Temp(n) => mix(4, u64::from(*n)),
+        SymNode::Call { callee, args } => args
+            .iter()
+            .fold(mix(5, callee.addr() as u64), |h, a| mix(h, u64::from(a.id()))),
+        SymNode::Unary(op, a) => mix(mix(6, *op as u64), u64::from(a.id())),
+        SymNode::Binary(op, a, b) => {
+            mix(mix(mix(7, *op as u64), u64::from(a.id())), u64::from(b.id()))
+        }
+        SymNode::Unknown => mix(8, 0),
+    }
 }
 
 fn intern(node: SymNode) -> Sym {
@@ -105,17 +151,17 @@ fn intern(node: SymNode) -> Sym {
             .saturating_add(b.0.size),
         _ => 1,
     };
-    let mut map = arena().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&found) = map.get(&node) {
+    let mut shard = arena().lookup(shard_hash(&node));
+    if let Some(&found) = shard.table.get(&node) {
         return found;
     }
-    let id = map.len() as u32;
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let leaked: &'static HNode = Box::leak(Box::new(HNode {
         node: node.clone(),
         size,
         id,
     }));
-    map.insert(node, Sym(leaked));
+    shard.table.insert(node, Sym(leaked));
     Sym(leaked)
 }
 
@@ -123,7 +169,15 @@ fn intern(node: SymNode) -> Sym {
 /// this is also the peak node count — reported by `repro --sym-bench`
 /// and guarded by the CI regression step.
 pub fn arena_node_count() -> usize {
-    arena().lock().unwrap_or_else(|e| e.into_inner()).len()
+    arena().sum(HashMap::len)
+}
+
+/// Number of arena lookups so far: every constructor call that reached
+/// the arena, whether it found its node or inserted it. Constants
+/// served from the small-integer table and the `Unknown` singleton do
+/// not count.
+pub fn arena_lookups() -> u64 {
+    arena().lookups()
 }
 
 impl Sym {
@@ -221,7 +275,8 @@ impl Sym {
         &self.0.node
     }
 
-    /// Dense arena id (interning order). Stable within a process run.
+    /// Dense, unique arena id, in interning order when one thread
+    /// interns. Stable within a process run.
     pub fn id(self) -> u32 {
         self.0.id
     }

@@ -48,7 +48,7 @@ int walk(int x, int n, int g) {
 fn irreducible_cycle_is_invisible_to_loop_detection() {
     let ast = parse(TWO_ENTRY_CYCLE).expect("parses");
     let f = ast.functions().next().expect("one function");
-    let cfg = build_cfg(&ast, &f);
+    let cfg = build_cfg(&ast, f);
     assert!(
         find_loops(&cfg).is_empty(),
         "goto-into-body should make the cycle irreducible, but natural loops were found"
@@ -60,7 +60,7 @@ fn irreducible_cycle_is_invisible_to_loop_detection() {
 fn oracle_stays_transparent_through_an_irreducible_cycle() {
     let ast = parse(TWO_ENTRY_CYCLE).expect("parses");
     let f = ast.functions().next().expect("one function");
-    let cfg = build_cfg(&ast, &f);
+    let cfg = build_cfg(&ast, f);
     // `truncated` is necessarily set here — the infinite family of
     // further unrollings dies at `max_visits` — but that cut is
     // prefix-local and identical in both runs; only the path budget
@@ -102,7 +102,7 @@ int walk(int x, int n) {
 ";
     let ast = parse(src).expect("parses");
     let f = ast.functions().next().expect("one function");
-    let cfg = build_cfg(&ast, &f);
+    let cfg = build_cfg(&ast, f);
     assert!(find_loops(&cfg).is_empty(), "cycle must be irreducible");
     let config = PathConfig::default();
     let full = enumerate_paths(&cfg, &config);

@@ -12,9 +12,13 @@
 use crate::{AttrValue, Record};
 use std::fmt::Write as _;
 
-/// Escapes `s` as the contents of a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escapes `s` as the contents of a JSON string literal (quotes not
+/// included), appending to `out`. Control characters, `"`, and `\` are
+/// escaped; everything else passes through as UTF-8. The appending form
+/// is the primitive: render paths that emit many strings reuse one
+/// buffer instead of allocating a `String` per field. The trace export,
+/// the NDJSON findings and the daemon's JSON all escape through it.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -22,13 +26,21 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Appends `s` as a quoted JSON string literal.
+fn push_str_lit(out: &mut String, s: &str) {
+    out.push('"');
+    json_escape_into(out, s);
+    out.push('"');
 }
 
 /// Microseconds with nanosecond fraction, the `ts`/`dur` unit.
@@ -42,7 +54,8 @@ fn args_json(attrs: &[(&'static str, AttrValue)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":", escape(key));
+        push_str_lit(&mut out, key);
+        out.push(':');
         match value {
             AttrValue::U64(v) => {
                 let _ = write!(out, "{v}");
@@ -50,9 +63,7 @@ fn args_json(attrs: &[(&'static str, AttrValue)]) -> String {
             AttrValue::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
-            AttrValue::Str(v) => {
-                let _ = write!(out, "\"{}\"", escape(v));
-            }
+            AttrValue::Str(v) => push_str_lit(&mut out, v),
         }
     }
     out.push('}');
@@ -69,10 +80,11 @@ pub fn export_chrome(records: &[Record]) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("{\"name\":");
+        push_str_lit(&mut out, &r.name);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-            escape(&r.name),
+            ",\"cat\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
             r.layer.name(),
             r.tid,
             us(r.start_ns),
@@ -131,6 +143,8 @@ mod tests {
         let json = export_chrome(&[record("we\"ird\n", 0, Some(1))]);
         assert!(json.contains("we\\\"ird\\n"), "{json}");
         assert!(json.contains("a\\\"b"), "{json}");
+        let json = export_chrome(&[record("bs\u{8}ff\u{c}nul\u{0}", 0, Some(1))]);
+        assert!(json.contains("bs\\bff\\fnul\\u0000"), "{json}");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 pub mod chrome;
 pub mod summary;
 
-pub use chrome::export_chrome;
+pub use chrome::{export_chrome, json_escape_into};
 pub use summary::render_trace_summary;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -14,7 +14,7 @@ echo "== tests (full workspace) =="
 cargo test --workspace -q
 
 echo "== clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== daemon smoke test =="
 cargo build --release -p pallas-cli
