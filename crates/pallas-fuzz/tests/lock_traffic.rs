@@ -33,8 +33,8 @@ fn pool_units_0_to_15_make_pinned_lookups() {
         ("interned strings", Istr::interned_count()),
     ];
     let pinned = [
-        ("arena lookups", 10_062),
-        ("interner lookups", 1_657),
+        ("arena lookups", 4_847),
+        ("interner lookups", 1_526),
         ("arena nodes", 1_171),
         ("interned strings", 153),
     ];

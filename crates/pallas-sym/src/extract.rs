@@ -14,23 +14,27 @@
 //! the values that vary between paths — so an event's strings are built
 //! only the first time its key is seen in the function, and every later
 //! path pushes a `u32`. Callee summaries are interned once per calling
-//! function and spliced as id lists. One
-//! [`Evaluator`] is reused across all paths of a function (its
-//! environment map keeps its capacity), expression renderings / atom
-//! sets / lvalue keys are memoized per [`ExprId`] in unit-scoped
-//! caches, and environment keys are interned [`Istr`]s.
+//! function and spliced as id lists. One [`Evaluator`] walks all paths
+//! of a function as a trie, evaluating each shared prefix once and
+//! rolling back to undo marks between paths (see
+//! [`Evaluator::run_paths`]); expression renderings / atom sets /
+//! lvalue keys are memoized per [`ExprId`] in unit-scoped caches, and
+//! environment keys are interned [`Istr`]s.
 
+use crate::env::Env;
 use crate::event::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathDb, PathRecord};
 use crate::feasible::FeasibilityOracle;
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
+use crate::tables::FunctionTables;
 use pallas_cfg::{
-    build_cfg, enumerate_paths_reusing, summarize_loops, CfgPath, Decision, LoopSummary, NoOracle,
-    PathConfig, PathScratch,
+    build_cfg, enumerate_paths_reusing, BlockId, Cfg, CfgPath, Decision, NoOracle, PathConfig,
+    PathScratch,
 };
 use pallas_lang::ast::{AssignOp, Ast, ExprId, ExprKind, StmtId, StmtKind, UnOp};
 use pallas_lang::{expr_to_string, LineMap};
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// Extraction configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +209,10 @@ fn extract_function(
 ) -> FunctionPaths {
     let func = ast.function(name).expect("function exists");
     let cfg = build_cfg(ast, func);
+    let with_loops = config.prune_infeasible || config.loop_summaries;
+    let tables = Rc::new(FunctionTables::new(ast, &cfg, with_loops));
     let paths = if config.prune_infeasible {
-        let mut oracle = FeasibilityOracle::new(ast);
+        let mut oracle = FeasibilityOracle::with_tables(ast, Rc::clone(&tables));
         if !config.loop_summaries {
             oracle = oracle.without_loop_summaries();
         }
@@ -214,13 +220,11 @@ fn extract_function(
     } else {
         enumerate_paths_reusing(&cfg, &config.paths, &mut NoOracle, &mut caches.paths_scratch)
     };
-    let summaries = if config.loop_summaries { summarize_loops(ast, &cfg) } else { Vec::new() };
-    caches.loops_summarized += summaries.len() as u64;
-    let mut records = Vec::with_capacity(paths.paths.len());
-    let mut ev = Evaluator::new(ast, lm, config, &summaries, caches);
-    for (index, path) in paths.paths.iter().enumerate() {
-        records.push(ev.run_path(&cfg, path, index));
+    if config.loop_summaries {
+        caches.loops_summarized += tables.loops.len() as u64;
     }
+    let mut ev = Evaluator::new(ast, lm, config, &cfg, &tables, caches);
+    let records = ev.run_paths(&paths.paths);
     FunctionPaths {
         name: func.sig.name.clone(),
         signature: func.sig.to_string(),
@@ -320,11 +324,64 @@ enum EventKey {
     Call(ExprId, Option<Istr>, bool),
 }
 
+/// One unit of a path's evaluation. A path is the sequence of its
+/// steps; consecutive enumerated paths share a prefix of steps, and
+/// that prefix is evaluated once.
+#[derive(Clone, Copy, PartialEq)]
+enum Step<'p> {
+    /// Run block `bb`'s statements, entered from `prev` (which decides
+    /// the loop-exit havoc).
+    Enter { bb: BlockId, prev: Option<BlockId> },
+    /// Record a decision the path made. A decision of the path's last
+    /// block leads nowhere on the path, so it is not a step.
+    Decide(&'p Decision),
+}
+
+/// The steps of `path`, into `out`.
+fn steps_of<'p>(path: &'p CfgPath, out: &mut Vec<Step<'p>>) {
+    out.clear();
+    let mut decisions = path.decisions.iter().peekable();
+    for (i, &bb) in path.blocks.iter().enumerate() {
+        let prev = i.checked_sub(1).map(|p| path.blocks[p]);
+        out.push(Step::Enter { bb, prev });
+        if i + 1 < path.blocks.len() {
+            if let Some(d) = decisions.next_if(|d| d.block() == bb) {
+                out.push(Step::Decide(d));
+            }
+        }
+    }
+}
+
+/// Evaluator state after some prefix of steps: everything
+/// [`Evaluator::rollback`] needs to return to it. The in-condition
+/// depth is zero between steps, so it needs no slot.
+#[derive(Clone, Copy)]
+struct Mark {
+    env: usize,
+    undo: usize,
+    path: usize,
+    temp: u32,
+    havocked: u64,
+    splices: u64,
+}
+
+/// A change to the current path's timeline or pending calls, logged
+/// so that [`Evaluator::rollback`] can reverse it.
+enum Undo {
+    /// `path[at]` held `prev` before a call result was assigned.
+    Rewrite { at: usize, prev: EventId },
+    /// A call was pushed onto `unassigned_calls`.
+    Pushed,
+    /// This call was popped off `unassigned_calls`.
+    Popped((usize, ExprId, bool)),
+}
+
 struct Evaluator<'a> {
     ast: &'a Ast,
     lm: &'a LineMap,
     config: &'a ExtractConfig,
-    env: HashMap<Istr, Sym>,
+    cfg: &'a Cfg,
+    env: Env,
     temp_counter: u32,
     in_condition: u32,
     /// The function's event table under construction.
@@ -339,11 +396,15 @@ struct Evaluator<'a> {
     /// assigned yet: `(timeline position, call expr, in condition)`,
     /// most recent last.
     unassigned_calls: Vec<(usize, ExprId, bool)>,
-    /// The function's loop effect summaries.
-    loops: &'a [LoopSummary],
-    /// Each loop's may-write set as interned keys, built on the
-    /// function's first exit from that loop.
-    havoc_keys: Vec<Option<Vec<Istr>>>,
+    /// Rewrites of `path` and changes to `unassigned_calls` along the
+    /// current prefix, newest last.
+    undo: Vec<Undo>,
+    /// Bindings the current path havocked at loop exits.
+    havocked: u64,
+    /// Callee summaries the current path spliced.
+    splices: u64,
+    /// The function's step expressions and loop-exit havoc lists.
+    tables: &'a FunctionTables,
     caches: &'a mut ExtractCaches,
 }
 
@@ -352,14 +413,16 @@ impl<'a> Evaluator<'a> {
         ast: &'a Ast,
         lm: &'a LineMap,
         config: &'a ExtractConfig,
-        loops: &'a [LoopSummary],
+        cfg: &'a Cfg,
+        tables: &'a FunctionTables,
         caches: &'a mut ExtractCaches,
     ) -> Self {
         Evaluator {
             ast,
             lm,
             config,
-            env: HashMap::new(),
+            cfg,
+            env: Env::default(),
             temp_counter: 0,
             in_condition: 0,
             table: Vec::new(),
@@ -367,65 +430,106 @@ impl<'a> Evaluator<'a> {
             spliced: HashMap::new(),
             path: Vec::new(),
             unassigned_calls: Vec::new(),
-            loops,
-            havoc_keys: vec![None; loops.len()],
+            undo: Vec::new(),
+            havocked: 0,
+            splices: 0,
+            tables,
             caches,
         }
     }
 
-    /// Interprets one enumerated path, resetting per-path state but
-    /// keeping the environment map's capacity and every unit-scoped
-    /// memo warm.
-    fn run_path(&mut self, cfg: &pallas_cfg::Cfg, path: &CfgPath, index: usize) -> PathRecord {
-        self.env.clear();
-        self.temp_counter = 0;
-        self.in_condition = 0;
-        self.path.clear();
-        self.unassigned_calls.clear();
-        // Parameters start as symbolic inputs of their own name.
-        // (The environment defaults to `Input(name)` on lookup, so
-        // nothing to seed.)
-        let mut decision_iter = path.decisions.iter().peekable();
-        for (i, &bb) in path.blocks.iter().enumerate() {
-            // A loop-exit stand-in path ran the body a bounded number
-            // of times; the real execution may have run it arbitrarily
-            // often. Havoc exactly the may-written set so post-loop
-            // events never see the k-th iteration's bindings. (Loops
-            // are in deterministic `find_loops` order and `may_write`
-            // is a BTreeSet, so havoc order is stable.)
-            if i > 0 {
-                let prev = path.blocks[i - 1];
-                for (l, keys) in self.loops.iter().zip(&mut self.havoc_keys) {
-                    if l.body.contains(&prev) && !l.body.contains(&bb) {
-                        let keys = keys
-                            .get_or_insert_with(|| l.may_write.iter().map(Istr::from).collect());
-                        for &key in keys.iter() {
-                            self.env.insert(key, Sym::unknown());
-                            self.caches.vars_havocked += 1;
-                        }
-                    }
+    /// Interprets the enumerated paths in order, walking the trie they
+    /// form: each path rolls back to the mark where it leaves the
+    /// previous path and evaluates only its own remaining steps.
+    ///
+    /// Re-evaluating a shared prefix would only re-intern events and
+    /// re-build symbolic values that already exist, so the event table
+    /// and every record come out exactly as if each path ran from the
+    /// entry. The per-path counters keep that meaning too: each path
+    /// adds its own havoc count at its leaf, and every splice on every
+    /// path counts as a summary-memo hit except the function's first
+    /// splice of each callee, which `callee_summary` counts.
+    fn run_paths(&mut self, paths: &[CfgPath]) -> Vec<PathRecord> {
+        let mut records = Vec::with_capacity(paths.len());
+        let (mut prev, mut steps) = (Vec::new(), Vec::new());
+        let mut marks = vec![self.mark()];
+        let mut splices = 0;
+        for (index, path) in paths.iter().enumerate() {
+            steps_of(path, &mut steps);
+            let shared = prev.iter().zip(&steps).take_while(|(a, b)| a == b).count();
+            marks.truncate(shared + 1);
+            self.rollback(marks[shared]);
+            for &step in &steps[shared..] {
+                self.run_step(step);
+                marks.push(self.mark());
+            }
+            records.push(self.finish_path(path, index));
+            self.caches.vars_havocked += self.havocked;
+            splices += self.splices;
+            std::mem::swap(&mut prev, &mut steps);
+        }
+        self.caches.summary_hits += splices - self.spliced.len() as u64;
+        records
+    }
+
+    fn mark(&self) -> Mark {
+        debug_assert_eq!(self.in_condition, 0, "marks sit between steps");
+        Mark {
+            env: self.env.mark(),
+            undo: self.undo.len(),
+            path: self.path.len(),
+            temp: self.temp_counter,
+            havocked: self.havocked,
+            splices: self.splices,
+        }
+    }
+
+    fn rollback(&mut self, mark: Mark) {
+        self.env.rollback(mark.env);
+        for undo in self.undo.drain(mark.undo..).rev() {
+            match undo {
+                Undo::Rewrite { at, prev } => self.path[at] = prev,
+                Undo::Pushed => {
+                    self.unassigned_calls.pop();
                 }
+                Undo::Popped(call) => self.unassigned_calls.push(call),
             }
-            let block = cfg.block(bb);
-            for &stmt in &block.stmts {
-                self.exec_stmt(stmt);
-            }
-            for &(b, step) in &cfg.step_exprs {
-                if b == bb {
+        }
+        self.path.truncate(mark.path);
+        self.temp_counter = mark.temp;
+        self.havocked = mark.havocked;
+        self.splices = mark.splices;
+    }
+
+    fn run_step(&mut self, step: Step) {
+        match step {
+            Step::Enter { bb, prev } => {
+                // A loop-exit stand-in path ran the body a bounded
+                // number of times; the real execution may have run it
+                // arbitrarily often. Havoc exactly the may-written set
+                // so post-loop events never see the k-th iteration's
+                // bindings.
+                let tables = self.tables;
+                let exit = prev.and_then(|p| tables.exit(p, bb));
+                if let Some(exit) = exit.filter(|_| self.config.loop_summaries) {
+                    for &key in &exit.keys {
+                        self.env.bind(key, Sym::unknown());
+                    }
+                    self.havocked += exit.keys.len() as u64;
+                }
+                for &stmt in &self.cfg.block(bb).stmts {
+                    self.exec_stmt(stmt);
+                }
+                for &step in tables.steps(bb) {
                     self.eval(step);
                 }
             }
-            // If this block made a decision on the path, record it.
-            let is_last = i + 1 == path.blocks.len();
-            if !is_last {
-                if let Some(d) = decision_iter.peek() {
-                    if d.block() == bb {
-                        let d = decision_iter.next().expect("peeked");
-                        self.record_decision(d);
-                    }
-                }
-            }
+            Step::Decide(d) => self.record_decision(d),
         }
+    }
+
+    /// Evaluates the path's return value and emits its record.
+    fn finish_path(&mut self, path: &CfgPath, index: usize) -> PathRecord {
         let output = match path.ret {
             Some(e) => {
                 let value = self.eval_in_return(e);
@@ -440,7 +544,7 @@ impl<'a> Evaluator<'a> {
                 line: path
                     .blocks
                     .last()
-                    .map(|&b| self.lm.line(cfg.block(b).span.start))
+                    .map(|&b| self.lm.line(self.cfg.block(b).span.start))
                     .unwrap_or(0),
                 text: String::new(),
                 value: None,
@@ -471,8 +575,8 @@ impl<'a> Evaluator<'a> {
     /// Appends a callee's summary to the current path, interning it
     /// into the table on the function's first call to `callee`.
     fn splice_summary(&mut self, callee: Istr) {
+        self.splices += 1;
         if let Some(ids) = self.spliced.get(&callee) {
-            self.caches.summary_hits += 1;
             self.path.extend_from_slice(ids);
             return;
         }
@@ -537,13 +641,13 @@ impl<'a> Evaluator<'a> {
                             reads: ev.atoms_of(e),
                             depth: 0,
                         });
-                        self.env.insert(key, value);
+                        self.env.bind(key, value);
                     }
                     None => {
                         // Declared but uninitialized: poison so reads
                         // can be recognized by the init checker.
                         let key = self.decl_key(id, name);
-                        self.env.insert(key, Sym::unknown());
+                        self.env.bind(key, Sym::unknown());
                     }
                 }
             }
@@ -612,8 +716,11 @@ impl<'a> Evaluator<'a> {
     /// not absorb the assignment.
     fn detemporalize_call(&mut self, value: Sym, lvalue: Istr) -> Sym {
         if let SymNode::Call { .. } = value.node() {
-            if let Some((at, call, in_condition)) = self.unassigned_calls.pop() {
+            if let Some(popped) = self.unassigned_calls.pop() {
+                self.undo.push(Undo::Popped(popped));
+                let (at, call, in_condition) = popped;
                 let unassigned = self.path[at];
+                self.undo.push(Undo::Rewrite { at, prev: unassigned });
                 let key = EventKey::Call(call, Some(lvalue), in_condition);
                 self.path[at] = self.intern(key, |ev| {
                     let mut event = ev.table[unassigned.index()].clone();
@@ -673,12 +780,6 @@ impl<'a> Evaluator<'a> {
         set
     }
 
-    /// Environment lookup falling back to a symbolic input of the key's
-    /// own spelling.
-    fn env_value(&self, key: Istr) -> Sym {
-        self.env.get(&key).copied().unwrap_or_else(|| Sym::input(key))
-    }
-
     fn eval(&mut self, e: ExprId) -> Sym {
         let ast = self.ast;
         match &ast.expr(e).kind {
@@ -686,7 +787,7 @@ impl<'a> Evaluator<'a> {
             ExprKind::Str(s) => self.leaf(e, || Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
-                self.env_value(key)
+                self.env.get(key)
             }
             ExprKind::Unary(op, inner) => {
                 let (op, inner) = (*op, *inner);
@@ -707,7 +808,7 @@ impl<'a> Evaluator<'a> {
                             reads: ev.atoms_of(inner),
                             depth: 0,
                         });
-                        self.env.insert(key, new);
+                        self.env.bind(key, new);
                         return match op {
                             UnOp::PostInc | UnOp::PostDec => value,
                             _ => new,
@@ -723,7 +824,7 @@ impl<'a> Evaluator<'a> {
                 let v = self.eval(inner);
                 if matches!(op, UnOp::Deref) {
                     return match self.lvalue_key(e) {
-                        Some(key) => self.env_value(key),
+                        Some(key) => self.env.get(key),
                         None => Sym::unknown(),
                     };
                 }
@@ -745,7 +846,7 @@ impl<'a> Evaluator<'a> {
                 let mut value = match op {
                     AssignOp::Assign => rhs_value,
                     AssignOp::Compound(bin) => {
-                        let cur = self.env_value(key);
+                        let cur = self.env.get(key);
                         Sym::binary(bin, cur, rhs_value)
                     }
                 };
@@ -768,7 +869,7 @@ impl<'a> Evaluator<'a> {
                         depth: 0,
                     }
                 });
-                self.env.insert(key, value);
+                self.env.bind(key, value);
                 value
             }
             ExprKind::Ternary(c, t, el) => {
@@ -804,6 +905,7 @@ impl<'a> Evaluator<'a> {
                 let arg_syms: Vec<Sym> = args.iter().map(|&a| self.eval(a)).collect();
                 let in_condition = self.in_condition > 0;
                 self.unassigned_calls.push((self.path.len(), e, in_condition));
+                self.undo.push(Undo::Pushed);
                 self.push(EventKey::Call(e, None, in_condition), |ev| {
                     let mut arg_vars = Vec::new();
                     for &a in args {
@@ -832,7 +934,7 @@ impl<'a> Evaluator<'a> {
                 let base = *base;
                 self.eval(base);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env_value(key),
+                    Some(key) => self.env.get(key),
                     None => Sym::unknown(),
                 }
             }
@@ -841,7 +943,7 @@ impl<'a> Evaluator<'a> {
                 self.eval(b);
                 self.eval(i);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env_value(key),
+                    Some(key) => self.env.get(key),
                     None => Sym::unknown(),
                 }
             }
@@ -1133,5 +1235,153 @@ mod tests {
         let (hits, misses) = fx.summary_cache_stats();
         assert_eq!(misses, 1, "r's summary must be computed exactly once");
         assert_eq!(hits, 1, "g's call site must reuse r's cached summary");
+    }
+
+    /// Extracts `f` from `src` alone and renders each path as one line:
+    /// its events (`depth:` prefixed), then `=>` and the returned value.
+    /// Also returns the summary-memo and loop-summary counters.
+    fn timelines(src: &str) -> (Vec<String>, (u64, u64), (u64, u64)) {
+        let ast = parse(src).unwrap();
+        let mut fx = FunctionExtractor::new(&ast, src, &ExtractConfig::default());
+        let f = fx.extract_function("f");
+        let lines = f
+            .paths()
+            .map(|p| {
+                let mut line: Vec<String> = p
+                    .events()
+                    .map(|e| match e {
+                        Event::Decl { name, depth, .. } => format!("{depth}:decl {name}"),
+                        Event::State { lvalue, value, depth, .. } => {
+                            format!("{depth}:{lvalue}={value}")
+                        }
+                        Event::Cond { symbolic, taken, depth, .. } => {
+                            format!("{depth}:if {symbolic} {taken:?}")
+                        }
+                        Event::Call { callee, assigned_to, in_condition, depth, .. } => format!(
+                            "{depth}:call {callee}->{} cond={in_condition}",
+                            assigned_to.as_deref().unwrap_or("_")
+                        ),
+                    })
+                    .collect();
+                let ret = p.output.value.map_or("-".to_string(), |v| v.to_string());
+                line.push(format!("=> {ret}"));
+                line.join("; ")
+            })
+            .collect();
+        (lines, fx.summary_cache_stats(), fx.loop_summary_stats())
+    }
+
+    // The pins below are the output of per-path replay from the entry,
+    // which the prefix-sharing walk must reproduce exactly.
+
+    #[test]
+    fn call_assignments_roll_back_between_sibling_arms() {
+        // `h(r)` in the condition stays unassigned on both arms; each
+        // arm then assigns a call result after the decision's mark, so
+        // the second arm must see the pending-call stack and the
+        // timeline as they were before the first arm's rewrite.
+        let (lines, ..) = timelines(
+            "int g(int a);\nint h(int a);\nint f(int x, int y) {\n  int r = g(x);\n  \
+             if (h(r))\n    r = h(x);\n  else\n    y = g(y);\n  r = g(r) + y;\n  return r;\n}",
+        );
+        assert_eq!(
+            lines,
+            [
+                "0:decl r; 0:call g->r cond=false; 0:r=(V#1); 0:call h->_ cond=true; \
+                 0:if (E#h((V#1))) Some(true); 0:call h->r cond=false; 0:r=(V#2); \
+                 0:call g->_ cond=false; 0:r=((E#g((V#2))) + (S#y)); => ((E#g((V#2))) + (S#y))",
+                "0:decl r; 0:call g->r cond=false; 0:r=(V#1); 0:call h->_ cond=true; \
+                 0:if (E#h((V#1))) Some(false); 0:call g->y cond=false; 0:y=(V#2); \
+                 0:call g->_ cond=false; 0:r=((E#g((V#1))) + (V#2)); => ((E#g((V#1))) + (V#2))",
+            ]
+        );
+    }
+
+    #[test]
+    fn return_effects_do_not_leak_into_sibling_paths() {
+        // `return g(x)` splices g's summary and `return x++` rebinds x,
+        // both after the last mark of their path.
+        let (lines, hits, _) = timelines(
+            "int g(int a) { if (a) return 1; return 0; }\nint f(int x) {\n  x = x + 1;\n  \
+             if (x > 2)\n    return g(x);\n  if (x < 0)\n    return x++;\n  return x;\n}",
+        );
+        assert_eq!(
+            lines,
+            [
+                "0:x=((S#x) + (I#1)); 0:if (((S#x) + (I#1)) > (I#2)) Some(true); \
+                 0:call g->_ cond=false; 1:if (S#a) Some(true); 1:if (S#a) Some(false); \
+                 => (E#g(((S#x) + (I#1))))",
+                "0:x=((S#x) + (I#1)); 0:if (((S#x) + (I#1)) > (I#2)) Some(false); \
+                 0:if (((S#x) + (I#1)) < (I#0)) Some(true); 0:x=(((S#x) + (I#1)) + (I#1)); \
+                 => ((S#x) + (I#1))",
+                "0:x=((S#x) + (I#1)); 0:if (((S#x) + (I#1)) > (I#2)) Some(false); \
+                 0:if (((S#x) + (I#1)) < (I#0)) Some(false); => ((S#x) + (I#1))",
+            ]
+        );
+        assert_eq!(hits, (0, 1));
+    }
+
+    #[test]
+    fn loop_exit_havoc_is_counted_per_path() {
+        // Both loop-exit prefixes diverge after the havoc; each of the
+        // four paths havocs `s` and `i` once, so 8 in all.
+        let (lines, _, loops) = timelines(
+            "int f(int n, int m) {\n  int s = 0;\n  for (int i = 0; i < n; i++)\n    \
+             s = s + i;\n  if (s > m)\n    return s;\n  s = s - m;\n  return s;\n}",
+        );
+        let head = "0:decl s; 0:s=(I#0); 0:decl i; 0:i=(I#0);";
+        let once = "0:if ((I#0) < (S#n)) Some(true); 0:s=(I#0); 0:i=(I#1); \
+                    0:if ((I#1) < (S#n)) Some(false);";
+        let never = "0:if ((I#0) < (S#n)) Some(false);";
+        let taken = "0:if ((?) > (S#m)) Some(true); => (?)";
+        let not_taken = "0:if ((?) > (S#m)) Some(false); 0:s=((?) - (S#m)); => ((?) - (S#m))";
+        assert_eq!(
+            lines,
+            [
+                format!("{head} {once} {taken}"),
+                format!("{head} {once} {not_taken}"),
+                format!("{head} {never} {taken}"),
+                format!("{head} {never} {not_taken}"),
+            ]
+        );
+        assert_eq!(loops, (1, 8));
+    }
+
+    #[test]
+    fn switch_arms_share_the_scrutinee_prefix() {
+        let (lines, ..) = timelines(
+            "int f(int mode, int x) {\n  x = x * 2;\n  switch (mode) {\n  case 1:\n    \
+             x = x + 1;\n    break;\n  case 2:\n    return x;\n  default:\n    x = 0;\n  }\n  \
+             return x;\n}",
+        );
+        assert_eq!(
+            lines,
+            [
+                "0:x=((S#x) * (I#2)); 0:if (S#mode) == case 1 None; \
+                 0:x=(((S#x) * (I#2)) + (I#1)); => (((S#x) * (I#2)) + (I#1))",
+                "0:x=((S#x) * (I#2)); 0:if (S#mode) == case 2 None; => ((S#x) * (I#2))",
+                "0:x=((S#x) * (I#2)); 0:if (S#mode) == default None; 0:x=(I#0); => (I#0)",
+            ]
+        );
+    }
+
+    #[test]
+    fn summary_hits_count_every_splice_on_every_path() {
+        // Five splices over the two paths: the first misses, the four
+        // others hit, including the one in the prefix the second path
+        // shares with the first and never re-evaluates.
+        let (lines, hits, _) = timelines(
+            "int callee(int x) { if (x) return 1; return 0; }\nint f(int a) {\n  callee(a);\n  \
+             if (a > 3)\n    callee(a);\n  callee(a);\n  return 0;\n}",
+        );
+        let call = "0:call callee->_ cond=false; 1:if (S#x) Some(true); 1:if (S#x) Some(false);";
+        assert_eq!(
+            lines,
+            [
+                format!("{call} 0:if ((S#a) > (I#3)) Some(true); {call} {call} => (I#0)"),
+                format!("{call} 0:if ((S#a) > (I#3)) Some(false); {call} => (I#0)"),
+            ]
+        );
+        assert_eq!(hits, (4, 1));
     }
 }

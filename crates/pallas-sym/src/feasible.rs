@@ -41,12 +41,15 @@
 //! pruning the whole doomed subtree before the `max_steps` /
 //! `max_paths` budgets are spent on it.
 
+use crate::env::Env;
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
-use pallas_cfg::{summarize_loops, BlockId, Cfg, CounterDir, Decision, PathOracle, Terminator};
+use crate::tables::FunctionTables;
+use pallas_cfg::{BlockId, Cfg, CounterDir, Decision, PathOracle, Terminator};
 use pallas_lang::ast::{AssignOp, Ast, BinOp, ExprId, ExprKind, StmtId, StmtKind, UnOp};
 use pallas_lang::expr_to_string;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Verdict over a set of path conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -453,22 +456,12 @@ pub fn path_feasibility(conds: &[(Sym, bool)]) -> Feasibility {
     Feasibility::Feasible
 }
 
-/// One speculation frame of the oracle: every environment binding and
-/// constraint added since the frame opened, so backtracking restores
-/// both exactly.
+/// One speculation frame of the oracle: undo marks of the environment
+/// and the constraint set, so backtracking restores both exactly.
 #[derive(Debug)]
 struct Frame {
-    env_undo: Vec<(Istr, Option<Sym>)>,
-    cons_mark: usize,
-}
-
-/// A natural loop as the oracle consumes it: the body for membership
-/// tests, effect keys interned for environment comparison.
-#[derive(Debug)]
-struct OracleLoop {
-    body: BTreeSet<BlockId>,
-    may_write: BTreeSet<Istr>,
-    counters: Vec<(Istr, CounterDir)>,
+    env: usize,
+    cons: usize,
 }
 
 /// A [`PathOracle`] that vetoes provably infeasible decision arms.
@@ -481,9 +474,10 @@ struct OracleLoop {
 /// decision opens a [`Frame`] that is unwound when the DFS backtracks.
 ///
 /// Decisions inside natural loops use the loop's effect summary
-/// ([`summarize_loops`]): a condition that syntactically reads any
-/// lvalue the surrounding loop may write is *transparent* — evaluated
-/// for its environment effects but never constrained or vetoed.
+/// ([`pallas_cfg::summarize_loops`]): a condition that syntactically
+/// reads any lvalue the surrounding loop may write is *transparent* —
+/// evaluated for its environment effects but never constrained or
+/// vetoed.
 /// Bounded unrolling deliberately emits concretely infeasible
 /// loop-exit paths (`for (i = 0; i < 2; i++)` exits at the visit cap
 /// with `i < 2` still folding true) as stand-ins for the deeper
@@ -502,12 +496,13 @@ struct OracleLoop {
 /// ([`without_loop_summaries`](FeasibilityOracle::without_loop_summaries)).
 pub struct FeasibilityOracle<'a> {
     ast: &'a Ast,
-    env: HashMap<Istr, Sym>,
+    env: Env,
     frames: Vec<Frame>,
     cons: ConstraintSet,
     temp: u32,
-    /// Natural-loop effect summaries, computed on first block entry.
-    loops: Option<Vec<OracleLoop>>,
+    /// The function's loops, step expressions and loop-exit havoc
+    /// lists: shared with the extractor, or built on first block entry.
+    tables: Option<Rc<FunctionTables>>,
     /// Summary-aware asserting and loop-exit havoc; `false` restores
     /// the pre-summary blanket transparency.
     use_summaries: bool,
@@ -535,11 +530,11 @@ impl<'a> FeasibilityOracle<'a> {
     pub fn new(ast: &'a Ast) -> Self {
         FeasibilityOracle {
             ast,
-            env: HashMap::new(),
+            env: Env::default(),
             frames: Vec::new(),
             cons: ConstraintSet::new(),
             temp: 0,
-            loops: None,
+            tables: None,
             use_summaries: true,
             visits: HashMap::new(),
             stack: Vec::new(),
@@ -549,6 +544,12 @@ impl<'a> FeasibilityOracle<'a> {
             decls: HashMap::new(),
             leaves: HashMap::new(),
         }
+    }
+
+    /// An oracle over the function whose tables the extractor already
+    /// built (with loops), so neither side summarizes loops twice.
+    pub(crate) fn with_tables(ast: &'a Ast, tables: Rc<FunctionTables>) -> Self {
+        FeasibilityOracle { tables: Some(tables), ..FeasibilityOracle::new(ast) }
     }
 
     /// Disables loop-summary reasoning: every decision inside any
@@ -570,17 +571,16 @@ impl<'a> FeasibilityOracle<'a> {
         if self.visits.get(&bb.0).copied().unwrap_or(0) > 1 {
             return true;
         }
-        let in_loop =
-            self.loops.as_ref().is_some_and(|ls| ls.iter().any(|l| l.body.contains(&bb)));
-        if !in_loop {
+        let tables = Rc::clone(self.tables.as_ref().expect("decisions follow a block entry"));
+        if !tables.in_loop(bb) {
             return false;
         }
         if !self.use_summaries {
             return true;
         }
         let keys = self.read_keys(cond);
-        let loops = self.loops.as_ref().expect("in_loop checked above");
-        loops
+        tables
+            .loops
             .iter()
             .filter(|l| l.body.contains(&bb))
             .any(|l| keys.iter().any(|k| l.may_write.contains(k)))
@@ -607,33 +607,13 @@ impl<'a> FeasibilityOracle<'a> {
     }
 
     fn push_frame(&mut self) {
-        self.frames.push(Frame { env_undo: Vec::new(), cons_mark: self.cons.mark() });
+        self.frames.push(Frame { env: self.env.mark(), cons: self.cons.mark() });
     }
 
     fn pop_frame(&mut self) {
         let frame = self.frames.pop().expect("balanced frame stack");
-        for (key, prev) in frame.env_undo.into_iter().rev() {
-            match prev {
-                Some(v) => {
-                    self.env.insert(key, v);
-                }
-                None => {
-                    self.env.remove(&key);
-                }
-            }
-        }
-        self.cons.rollback(frame.cons_mark);
-    }
-
-    fn bind(&mut self, key: Istr, value: Sym) {
-        let prev = self.env.insert(key, value);
-        if let Some(frame) = self.frames.last_mut() {
-            frame.env_undo.push((key, prev));
-        }
-    }
-
-    fn lookup(&self, key: Istr) -> Sym {
-        self.env.get(&key).copied().unwrap_or_else(|| Sym::input(key))
+        self.env.rollback(frame.env);
+        self.cons.rollback(frame.cons);
     }
 
     /// Canonical (interned) lvalue key — must match the extractor's
@@ -678,7 +658,7 @@ impl<'a> FeasibilityOracle<'a> {
                     None => Sym::unknown(),
                 };
                 let key = *self.decls.entry(id).or_insert_with(|| Istr::new(name));
-                self.bind(key, value);
+                self.env.bind(key, value);
             }
             StmtKind::Expr(e) => {
                 self.eval(*e);
@@ -698,7 +678,7 @@ impl<'a> FeasibilityOracle<'a> {
             ExprKind::Str(s) => *self.leaves.entry(e).or_insert_with(|| Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
-                self.lookup(key)
+                self.env.get(key)
             }
             ExprKind::Unary(op, inner) => {
                 let (op, inner) = (*op, *inner);
@@ -707,7 +687,7 @@ impl<'a> FeasibilityOracle<'a> {
                     if let Some(key) = self.lvalue_key(inner) {
                         let delta = if matches!(op, UnOp::PreInc | UnOp::PostInc) { 1 } else { -1 };
                         let new = Sym::binary(BinOp::Add, value, Sym::int(delta));
-                        self.bind(key, new);
+                        self.env.bind(key, new);
                         return match op {
                             UnOp::PostInc | UnOp::PostDec => value,
                             _ => new,
@@ -722,7 +702,7 @@ impl<'a> FeasibilityOracle<'a> {
                 let v = self.eval(inner);
                 if matches!(op, UnOp::Deref) {
                     return match self.lvalue_key(e) {
-                        Some(key) => self.lookup(key),
+                        Some(key) => self.env.get(key),
                         None => Sym::unknown(),
                     };
                 }
@@ -744,12 +724,12 @@ impl<'a> FeasibilityOracle<'a> {
                 let value = match op {
                     AssignOp::Assign => rhs_value,
                     AssignOp::Compound(bin) => {
-                        let cur = self.lookup(key);
+                        let cur = self.env.get(key);
                         Sym::binary(bin, cur, rhs_value)
                     }
                 };
                 let value = self.detemporalize_call(value);
-                self.bind(key, value);
+                self.env.bind(key, value);
                 value
             }
             ExprKind::Ternary(c, t, el) => {
@@ -782,7 +762,7 @@ impl<'a> FeasibilityOracle<'a> {
                 let base = *base;
                 self.eval(base);
                 match self.lvalue_key(e) {
-                    Some(key) => self.lookup(key),
+                    Some(key) => self.env.get(key),
                     None => Sym::unknown(),
                 }
             }
@@ -791,7 +771,7 @@ impl<'a> FeasibilityOracle<'a> {
                 self.eval(b);
                 self.eval(i);
                 match self.lvalue_key(e) {
-                    Some(key) => self.lookup(key),
+                    Some(key) => self.env.get(key),
                     None => Sym::unknown(),
                 }
             }
@@ -816,26 +796,14 @@ impl<'a> FeasibilityOracle<'a> {
     /// of times, so post-loop state must not depend on those exact
     /// bindings. Each key gets a fresh temporary; monotone counters
     /// additionally seed a direction fact.
-    fn havoc_loop_exits(&mut self, prev: BlockId, bb: BlockId) {
-        let Some(loops) = &self.loops else { return };
-        let mut writes: BTreeSet<Istr> = BTreeSet::new();
-        let mut counters: Vec<(Istr, CounterDir)> = Vec::new();
-        for l in loops {
-            if l.body.contains(&prev) && !l.body.contains(&bb) {
-                writes.extend(l.may_write.iter().copied());
-                for &(k, d) in &l.counters {
-                    if !counters.iter().any(|&(ck, _)| ck == k) {
-                        counters.push((k, d));
-                    }
-                }
-            }
-        }
-        for key in writes {
-            let pre = self.lookup(key);
+    fn havoc_loop_exits(&mut self, tables: &FunctionTables, prev: BlockId, bb: BlockId) {
+        let Some(exit) = tables.exit(prev, bb) else { return };
+        for &(key, dir) in &exit.havoc {
+            let pre = self.env.get(key);
             self.temp += 1;
             let post = Sym::temp(self.temp);
-            self.bind(key, post);
-            if let Some(&(_, dir)) = counters.iter().find(|&&(k, _)| k == key) {
+            self.env.bind(key, post);
+            if let Some(dir) = dir {
                 self.seed_direction_fact(pre, post, dir);
             }
         }
@@ -930,24 +898,17 @@ impl<'a> FeasibilityOracle<'a> {
 
 impl PathOracle for FeasibilityOracle<'_> {
     fn enter_block(&mut self, cfg: &Cfg, bb: BlockId) {
-        if self.loops.is_none() {
-            let loops = summarize_loops(self.ast, cfg)
-                .into_iter()
-                .map(|l| OracleLoop {
-                    body: l.body,
-                    may_write: l.may_write.iter().map(|s| Istr::new(s)).collect(),
-                    counters: l.counters.iter().map(|(k, d)| (Istr::new(k), *d)).collect(),
-                })
-                .collect();
-            self.loops = Some(loops);
-        }
+        let ast = self.ast;
+        let tables = Rc::clone(
+            self.tables.get_or_insert_with(|| Rc::new(FunctionTables::new(ast, cfg, true))),
+        );
         *self.visits.entry(bb.0).or_insert(0) += 1;
         self.push_frame();
         // Havoc inside the new block's frame so backtracking out of
         // `bb` restores the pre-havoc environment and facts.
         if self.use_summaries {
             if let Some(&prev) = self.stack.last() {
-                self.havoc_loop_exits(prev, bb);
+                self.havoc_loop_exits(&tables, prev, bb);
             }
         }
         self.stack.push(bb);
@@ -955,10 +916,8 @@ impl PathOracle for FeasibilityOracle<'_> {
         for &stmt in &block.stmts {
             self.exec_stmt(stmt);
         }
-        for &(b, step) in &cfg.step_exprs {
-            if b == bb {
-                self.eval(step);
-            }
+        for &step in tables.steps(bb) {
+            self.eval(step);
         }
     }
 

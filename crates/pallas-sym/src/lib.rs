@@ -22,6 +22,7 @@
 //! ```
 
 pub mod callgraph;
+mod env;
 pub mod event;
 pub mod extract;
 pub mod feasible;
@@ -30,6 +31,7 @@ mod shard;
 pub mod stats;
 pub mod sym;
 pub mod table5;
+mod tables;
 
 pub use callgraph::CallGraph;
 pub use event::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathDb, PathRecord, PathView};

@@ -11,7 +11,7 @@ echo "== tests (tier-1 root package) =="
 cargo test -q
 
 echo "== tests (full workspace) =="
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
