@@ -205,10 +205,10 @@ fn truncate(out: &mut PathSet, st: &PathScratch, cause: &'static str) {
     out.truncated = true;
 }
 
-/// Mutable DFS state threaded through [`walk`], reusable across
+/// Mutable DFS state threaded through the walk, reusable across
 /// enumerations via [`enumerate_paths_reusing`]. The walk restores the
 /// stacks as it backtracks, so after a completed enumeration the
-/// buffers are empty-but-warm; [`PathScratch::reset`] re-zeroes them
+/// buffers are empty-but-warm; each enumeration re-zeroes them
 /// defensively and sizes `visits` for the next CFG.
 #[derive(Default)]
 pub struct PathScratch {

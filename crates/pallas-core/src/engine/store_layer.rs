@@ -42,7 +42,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::Path;
 
-/// Version of the persisted payload schema (the [`codec`] encodings
+/// Version of the persisted payload schema (the `codec` encodings
 /// and the key derivations in this module). Folded into every content
 /// key, so records written by a different schema are unreachable —
 /// they age out as dead records at the next `gc` instead of being

@@ -1,7 +1,7 @@
 //! The Pallas driver facade: merge → parse → spec → extract → check.
 //!
 //! [`Pallas`] is the stateless entry point kept for API compatibility;
-//! every call delegates to a fresh staged [`Engine`](crate::Engine),
+//! every call delegates to a fresh staged [`Engine`],
 //! which owns the actual pipeline, the frontend cache, and the
 //! work-stealing batch scheduler. Callers that check units repeatedly
 //! should hold an `Engine` directly to benefit from caching.

@@ -1,8 +1,8 @@
 //! Exact lock traffic of the symbol arena and the string interner.
 //!
-//! Every `Sym` constructor that reaches the arena and every
-//! `Istr::new` call takes a shard lock, so the number of lookups is
-//! the extractor's locking cost, counted exactly rather than timed.
+//! Every `Sym` constructor that misses its thread's front cache and
+//! every `Istr::new` call takes a shard lock, so the number of lookups
+//! is the extractor's locking cost, counted exactly rather than timed.
 //! This suite pins it for the first sixteen `deep_paths` pool units,
 //! together with the node and string counts that must not move when
 //! the lookups do. The counters are process-global: this file holds a
@@ -33,8 +33,8 @@ fn pool_units_0_to_15_make_pinned_lookups() {
         ("interned strings", Istr::interned_count()),
     ];
     let pinned = [
-        ("arena lookups", 4_847),
-        ("interner lookups", 1_526),
+        ("arena lookups", 1_795),
+        ("interner lookups", 753),
         ("arena nodes", 1_171),
         ("interned strings", 153),
     ];

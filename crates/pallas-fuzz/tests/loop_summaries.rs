@@ -244,3 +244,29 @@ fn battery_clean_on_loop_heavy_seeds() {
         }
     }
 }
+
+#[test]
+fn one_oracle_reused_over_a_unit_matches_fresh_oracles() {
+    // `FeasibilityOracle::new` serves every function of its unit: one
+    // oracle walking them all in turn must enumerate exactly what a
+    // fresh oracle per function does.
+    let config = PathConfig::default();
+    let mut functions = 0usize;
+    for seed in 0..40u64 {
+        let g = generate_with(seed, &loopy());
+        let ast = &g.ast;
+        let mut reused = FeasibilityOracle::new(ast);
+        for func in ast.functions() {
+            let cfg = build_cfg(ast, func);
+            let fresh = enumerate_paths_with(&cfg, &config, &mut FeasibilityOracle::new(ast));
+            let again = enumerate_paths_with(&cfg, &config, &mut reused);
+            assert!(
+                again == fresh,
+                "seed {seed} fn {}: a reused oracle enumerated differently from a fresh one",
+                func.sig.name
+            );
+            functions += 1;
+        }
+    }
+    assert!(functions > 40, "the sweep must cover several functions per unit");
+}

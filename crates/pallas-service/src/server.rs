@@ -4,7 +4,7 @@
 //! listener ([`Bind`]) and spins up two kinds of threads around one
 //! shared [`Engine`]:
 //!
-//! * a single **event-loop thread** ([`crate::mux`]) that multiplexes
+//! * a single **event-loop thread** (the `mux` module) that multiplexes
 //!   every listener and connection through a nonblocking readiness
 //!   loop: it frames newline-delimited JSON requests, answers
 //!   `stats`/`trace`/`shutdown` inline, pushes check/batch work
@@ -16,7 +16,7 @@
 //!   (`check_many_jobs`), so one request can still use every worker.
 //!
 //! Identical concurrent `check` requests are **coalesced**
-//! ([`crate::coalesce`]): keyed by the engine fingerprint, the first
+//! (the `coalesce` module): keyed by the engine fingerprint, the first
 //! becomes the one computation and the rest wait on it, each still
 //! receiving its own byte-identical response line. Both transports
 //! speak exactly the same protocol, so responses are byte-identical

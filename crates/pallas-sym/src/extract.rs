@@ -9,22 +9,23 @@
 //! number of callee functions" design (§4).
 //!
 //! Allocation discipline: events are interned into the function's event
-//! table (see [`crate::event`]) by an [`EventKey`] built from AST ids
-//! and [`Sym`]/[`Istr`] handles — the node that produced the event plus
+//! table (see [`crate::event`]) by an event key built from AST ids and
+//! [`Sym`] handles — the node that produced the event plus
 //! the values that vary between paths — so an event's strings are built
 //! only the first time its key is seen in the function, and every later
 //! path pushes a `u32`. Callee summaries are interned once per calling
-//! function and spliced as id lists. One [`Evaluator`] walks all paths
+//! function and spliced as id lists. One evaluator walks all paths
 //! of a function as a trie, evaluating each shared prefix once and
-//! rolling back to undo marks between paths (see
-//! [`Evaluator::run_paths`]); expression renderings / atom sets /
-//! lvalue keys are memoized per [`ExprId`] in unit-scoped caches, and
-//! environment keys are interned [`Istr`]s.
+//! rolling back to undo marks between paths; expression renderings and
+//! atom sets are memoized per [`ExprId`] in unit-scoped caches, and
+//! lvalue keys are dense ids of a unit-scoped key table that the
+//! feasibility oracle shares, so the environment is a slot vector.
 
 use crate::env::Env;
 use crate::event::{CondSym, Event, EventId, FunctionPaths, OutputRecord, PathDb, PathRecord};
 use crate::feasible::FeasibilityOracle;
 use crate::intern::Istr;
+use crate::keys::{KeyId, Keys};
 use crate::sym::{Sym, SymNode};
 use crate::tables::FunctionTables;
 use pallas_cfg::{
@@ -34,7 +35,6 @@ use pallas_cfg::{
 use pallas_lang::ast::{AssignOp, Ast, ExprId, ExprKind, StmtId, StmtKind, UnOp};
 use pallas_lang::{expr_to_string, LineMap};
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 /// Extraction configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +133,7 @@ impl<'a> FunctionExtractor<'a> {
             ast,
             lm: LineMap::new(src),
             config: *config,
-            caches: ExtractCaches::default(),
+            caches: ExtractCaches { keys: Keys::new(ast), ..ExtractCaches::default() },
         }
     }
 
@@ -169,8 +169,9 @@ impl<'a> FunctionExtractor<'a> {
 }
 
 /// Unit-scoped memo state shared by every function extracted from one
-/// AST: callee summaries plus per-[`ExprId`] derived-string caches
-/// (all pure functions of the AST, so they never need invalidation).
+/// AST: callee summaries, the key table both evaluators key lvalues
+/// through, and per-[`ExprId`] derived-string caches (all pure
+/// functions of the AST, so they never need invalidation).
 #[derive(Default)]
 struct ExtractCaches {
     /// Callee summaries keyed by `(function, remaining depth)`, with
@@ -178,16 +179,11 @@ struct ExtractCaches {
     summaries: HashMap<(Istr, u8), Vec<Event>>,
     summary_hits: u64,
     summary_misses: u64,
-    /// Rendered expression text (event `text` fields, callee names).
+    /// Lvalue keys, declared and callee names and constant leaves,
+    /// shared with the feasibility oracle.
+    keys: Keys,
+    /// Rendered expression text (event `text` fields).
     texts: HashMap<ExprId, String>,
-    /// Canonical lvalue key, `None` for non-lvalues.
-    lvalues: HashMap<ExprId, Option<Istr>>,
-    /// Interned declared names.
-    decls: HashMap<StmtId, Istr>,
-    /// Interned callee names (keyed by the callee expression).
-    callees: HashMap<ExprId, Istr>,
-    /// Values of constant leaves: string literals and `sizeof(T)`.
-    leaves: HashMap<ExprId, Sym>,
     /// Name atoms mentioned by an expression.
     atoms: HashMap<ExprId, Vec<String>>,
     /// Reused DFS buffers for path enumeration (one per unit, warm
@@ -210,9 +206,9 @@ fn extract_function(
     let func = ast.function(name).expect("function exists");
     let cfg = build_cfg(ast, func);
     let with_loops = config.prune_infeasible || config.loop_summaries;
-    let tables = Rc::new(FunctionTables::new(ast, &cfg, with_loops));
+    let tables = FunctionTables::new(ast, &cfg, with_loops, &mut caches.keys);
     let paths = if config.prune_infeasible {
-        let mut oracle = FeasibilityOracle::with_tables(ast, Rc::clone(&tables));
+        let mut oracle = FeasibilityOracle::with_tables(ast, &tables, &mut caches.keys);
         if !config.loop_summaries {
             oracle = oracle.without_loop_summaries();
         }
@@ -221,7 +217,7 @@ fn extract_function(
         enumerate_paths_reusing(&cfg, &config.paths, &mut NoOracle, &mut caches.paths_scratch)
     };
     if config.loop_summaries {
-        caches.loops_summarized += tables.loops.len() as u64;
+        caches.loops_summarized += tables.loops as u64;
     }
     let mut ev = Evaluator::new(ast, lm, config, &cfg, &tables, caches);
     let records = ev.run_paths(&paths.paths);
@@ -302,7 +298,7 @@ fn callee_summary<'c>(
 /// What fully determines an event the evaluator produces (always at
 /// depth 0): the AST node it comes from plus the path-dependent values.
 /// Two paths producing the same key produce the same event, so the
-/// key — AST ids and [`Sym`]/[`Istr`] handles, cheap to hash — stands
+/// key — AST ids, key ids and [`Sym`] handles, cheap to hash — stands
 /// in for the event when interning.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum EventKey {
@@ -321,7 +317,7 @@ enum EventKey {
     Ternary(ExprId, Sym),
     /// A call expression, the lvalue its result was assigned to, and
     /// whether it sat inside a flow-control condition.
-    Call(ExprId, Option<Istr>, bool),
+    Call(ExprId, Option<KeyId>, bool),
 }
 
 /// One unit of a path's evaluation. A path is the sequence of its
@@ -604,15 +600,14 @@ impl<'a> Evaluator<'a> {
         t
     }
 
-    /// The interned name a declaration binds. Memoized per statement.
-    fn decl_key(&mut self, id: StmtId, name: &str) -> Istr {
-        *self.caches.decls.entry(id).or_insert_with(|| Istr::new(name))
+    /// The value bound to `key`, or its input if unbound.
+    fn read(&mut self, key: KeyId) -> Sym {
+        self.env.get(key, &mut self.caches.keys)
     }
 
-    /// The value of a constant leaf (`build` runs once per
-    /// expression). Memoized per expression.
-    fn leaf(&mut self, e: ExprId, build: impl FnOnce() -> Sym) -> Sym {
-        *self.caches.leaves.entry(e).or_insert_with(build)
+    /// The spelling of `key`, for event fields.
+    fn key_name(&self, key: KeyId) -> String {
+        self.caches.keys.name(key).to_string()
     }
 
     fn exec_stmt(&mut self, id: pallas_lang::StmtId) {
@@ -630,7 +625,7 @@ impl<'a> Evaluator<'a> {
                 match init {
                     Some(e) => {
                         let e = *e;
-                        let key = self.decl_key(id, name);
+                        let key = self.caches.keys.decl(id, name);
                         let value = self.eval(e);
                         let value = self.detemporalize_call(value, key);
                         self.push(EventKey::Init(id, value), |ev| Event::State {
@@ -646,7 +641,7 @@ impl<'a> Evaluator<'a> {
                     None => {
                         // Declared but uninitialized: poison so reads
                         // can be recognized by the init checker.
-                        let key = self.decl_key(id, name);
+                        let key = self.caches.keys.decl(id, name);
                         self.env.bind(key, Sym::unknown());
                     }
                 }
@@ -714,7 +709,7 @@ impl<'a> Evaluator<'a> {
     /// assigned key. Only the function's own call events qualify —
     /// summary events spliced from callees sit at depth > 0 and must
     /// not absorb the assignment.
-    fn detemporalize_call(&mut self, value: Sym, lvalue: Istr) -> Sym {
+    fn detemporalize_call(&mut self, value: Sym, lvalue: KeyId) -> Sym {
         if let SymNode::Call { .. } = value.node() {
             if let Some(popped) = self.unassigned_calls.pop() {
                 self.undo.push(Undo::Popped(popped));
@@ -725,7 +720,7 @@ impl<'a> Evaluator<'a> {
                 self.path[at] = self.intern(key, |ev| {
                     let mut event = ev.table[unassigned.index()].clone();
                     if let Event::Call { assigned_to, .. } = &mut event {
-                        *assigned_to = Some(lvalue.to_string());
+                        *assigned_to = Some(ev.key_name(lvalue));
                     }
                     event
                 });
@@ -736,24 +731,10 @@ impl<'a> Evaluator<'a> {
         value
     }
 
-    /// Canonical (interned) lvalue key for identifier / member / index
-    /// / deref chains; `None` for non-lvalue expressions. Memoized per
-    /// expression.
-    fn lvalue_key(&mut self, e: ExprId) -> Option<Istr> {
-        if let Some(k) = self.caches.lvalues.get(&e) {
-            return *k;
-        }
-        let key = match &self.ast.expr(e).kind {
-            ExprKind::Ident(_) | ExprKind::Member { .. } | ExprKind::Index(..) => {
-                Some(Istr::new(&expr_to_string(self.ast, e)))
-            }
-            ExprKind::Unary(UnOp::Deref, inner) => {
-                self.lvalue_key(*inner).map(|k| Istr::new(&format!("*{k}")))
-            }
-            _ => None,
-        };
-        self.caches.lvalues.insert(e, key);
-        key
+    /// The lvalue key of identifier / member / index / deref chains;
+    /// `None` for non-lvalue expressions.
+    fn lvalue_key(&mut self, e: ExprId) -> Option<KeyId> {
+        self.caches.keys.lvalue(self.ast, e)
     }
 
     /// Name atoms mentioned by an expression: identifiers, full member
@@ -784,10 +765,10 @@ impl<'a> Evaluator<'a> {
         let ast = self.ast;
         match &ast.expr(e).kind {
             ExprKind::Int(v) => Sym::int(*v),
-            ExprKind::Str(s) => self.leaf(e, || Sym::str_lit(s.as_str())),
+            ExprKind::Str(s) => self.caches.keys.leaf(e, || Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
-                self.env.get(key)
+                self.read(key)
             }
             ExprKind::Unary(op, inner) => {
                 let (op, inner) = (*op, *inner);
@@ -802,7 +783,7 @@ impl<'a> Evaluator<'a> {
                         );
                         self.push(EventKey::Write(e, new), |ev| Event::State {
                             line: ev.line_of(e),
-                            lvalue: key.to_string(),
+                            lvalue: ev.key_name(key),
                             value: new,
                             text: ev.text_of(e),
                             reads: ev.atoms_of(inner),
@@ -824,7 +805,7 @@ impl<'a> Evaluator<'a> {
                 let v = self.eval(inner);
                 if matches!(op, UnOp::Deref) {
                     return match self.lvalue_key(e) {
-                        Some(key) => self.env.get(key),
+                        Some(key) => self.read(key),
                         None => Sym::unknown(),
                     };
                 }
@@ -846,7 +827,7 @@ impl<'a> Evaluator<'a> {
                 let mut value = match op {
                     AssignOp::Assign => rhs_value,
                     AssignOp::Compound(bin) => {
-                        let cur = self.env.get(key);
+                        let cur = self.read(key);
                         Sym::binary(bin, cur, rhs_value)
                     }
                 };
@@ -862,7 +843,7 @@ impl<'a> Evaluator<'a> {
                     }
                     Event::State {
                         line: ev.line_of(e),
-                        lvalue: key.to_string(),
+                        lvalue: ev.key_name(key),
                         value,
                         text: ev.text_of(e),
                         reads,
@@ -894,14 +875,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Call { callee, args } => {
-                let callee_name = match self.caches.callees.get(callee) {
-                    Some(&n) => n,
-                    None => {
-                        let n = Istr::new(&self.text_of(*callee));
-                        self.caches.callees.insert(*callee, n);
-                        n
-                    }
-                };
+                let callee_name = self.caches.keys.callee(ast, *callee);
                 let arg_syms: Vec<Sym> = args.iter().map(|&a| self.eval(a)).collect();
                 let in_condition = self.in_condition > 0;
                 self.unassigned_calls.push((self.path.len(), e, in_condition));
@@ -934,7 +908,7 @@ impl<'a> Evaluator<'a> {
                 let base = *base;
                 self.eval(base);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env.get(key),
+                    Some(key) => self.read(key),
                     None => Sym::unknown(),
                 }
             }
@@ -943,12 +917,14 @@ impl<'a> Evaluator<'a> {
                 self.eval(b);
                 self.eval(i);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env.get(key),
+                    Some(key) => self.read(key),
                     None => Sym::unknown(),
                 }
             }
             ExprKind::Cast(_, inner) => self.eval(*inner),
-            ExprKind::SizeofType(ty) => self.leaf(e, || Sym::input(format!("sizeof({ty})"))),
+            ExprKind::SizeofType(ty) => {
+                self.caches.keys.leaf(e, || Sym::input(format!("sizeof({ty})")))
+            }
             ExprKind::SizeofExpr(inner) => {
                 self.eval(*inner);
                 Sym::unknown()

@@ -26,7 +26,7 @@
 //! result bound once at its assignment point). Everything else is
 //! unkeyed and contributes no facts. Soundness is therefore relative
 //! to the extractor's memory model — distinct lvalue keys are assumed
-//! not to alias, exactly as [`extract`](crate::extract) itself
+//! not to alias, exactly as [`extract`](crate::extract()) itself
 //! assumes when it builds the symbolic environment the checkers see.
 //!
 //! With hash-consed values, key resolution is O(1): an `Input`'s
@@ -43,13 +43,12 @@
 
 use crate::env::Env;
 use crate::intern::Istr;
+use crate::keys::{KeyId, Keys};
 use crate::sym::{Sym, SymNode};
 use crate::tables::FunctionTables;
 use pallas_cfg::{BlockId, Cfg, CounterDir, Decision, PathOracle, Terminator};
 use pallas_lang::ast::{AssignOp, Ast, BinOp, ExprId, ExprKind, StmtId, StmtKind, UnOp};
-use pallas_lang::expr_to_string;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Verdict over a set of path conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +195,7 @@ enum Undo {
 /// can speculatively add a decision's constraints and roll them back
 /// when backtracking (or immediately, on a contradiction).
 ///
-/// Facts come in two shapes: per-key [`Facts`] (interval, equality,
+/// Facts come in two shapes: per-key facts (interval, equality,
 /// disequalities against constants) and pairwise *relational* facts —
 /// an ordering mask between two stable keys, harvested from observed
 /// `x OP y` comparisons. The relational layer is deliberately
@@ -471,7 +470,7 @@ struct Frame {
 /// convention) minus event recording, so each condition is judged on
 /// the same symbolic value the extractor would later attach to the
 /// path. State is fully speculative: every block entry and accepted
-/// decision opens a [`Frame`] that is unwound when the DFS backtracks.
+/// decision opens a frame that is unwound when the DFS backtracks.
 ///
 /// Decisions inside natural loops use the loop's effect summary
 /// ([`pallas_cfg::summarize_loops`]): a condition that syntactically
@@ -495,61 +494,97 @@ struct Frame {
 /// misses — and to every in-loop decision when summaries are disabled
 /// ([`without_loop_summaries`](FeasibilityOracle::without_loop_summaries)).
 pub struct FeasibilityOracle<'a> {
-    ast: &'a Ast,
-    env: Env,
+    eval: OracleEval<'a>,
+    /// The function's step expressions, loop-write sets and loop-exit
+    /// havoc lists.
+    tables: Tables<'a>,
     frames: Vec<Frame>,
     cons: ConstraintSet,
-    temp: u32,
-    /// The function's loops, step expressions and loop-exit havoc
-    /// lists: shared with the extractor, or built on first block entry.
-    tables: Option<Rc<FunctionTables>>,
     /// Summary-aware asserting and loop-exit havoc; `false` restores
     /// the pre-summary blanket transparency.
     use_summaries: bool,
     /// Occurrences of each block on the current prefix.
-    visits: HashMap<u32, usize>,
+    visits: Vec<u32>,
     /// The block prefix itself, for loop-exit detection.
     stack: Vec<BlockId>,
-    /// Memoized lvalue keys (pure over the AST). A DFS re-enters the
-    /// same blocks once per path prefix, so these hit constantly.
-    lvalues: HashMap<ExprId, Option<Istr>>,
-    /// Memoized per-expression syntactic read-key sets.
-    reads: HashMap<ExprId, Vec<Istr>>,
-    /// Memoized callee-name renderings.
-    callees: HashMap<ExprId, Istr>,
-    /// Memoized declared names.
-    decls: HashMap<StmtId, Istr>,
-    /// Memoized values of constant leaves: string literals and
-    /// `sizeof(T)`.
-    leaves: HashMap<ExprId, Sym>,
+}
+
+/// The oracle's per-function tables: the extractor's, or its own,
+/// rebuilt whenever a walk starts (an oracle from
+/// [`FeasibilityOracle::new`] may walk several functions in turn).
+enum Tables<'a> {
+    Shared(&'a FunctionTables),
+    Owned(Option<FunctionTables>),
+}
+
+impl Tables<'_> {
+    fn get(&self) -> &FunctionTables {
+        match self {
+            Tables::Shared(tables) => tables,
+            Tables::Owned(tables) => tables.as_ref().expect("built when the walk started"),
+        }
+    }
+}
+
+/// The oracle's key table: the extractor's unit-scoped one, or its own.
+enum KeyTable<'a> {
+    Shared(&'a mut Keys),
+    Owned(Box<Keys>),
+}
+
+impl std::ops::Deref for KeyTable<'_> {
+    type Target = Keys;
+    fn deref(&self) -> &Keys {
+        match self {
+            KeyTable::Shared(keys) => keys,
+            KeyTable::Owned(keys) => keys,
+        }
+    }
+}
+
+impl std::ops::DerefMut for KeyTable<'_> {
+    fn deref_mut(&mut self) -> &mut Keys {
+        match self {
+            KeyTable::Shared(keys) => keys,
+            KeyTable::Owned(keys) => keys,
+        }
+    }
+}
+
+/// The oracle's evaluator: the extraction evaluator minus event
+/// recording (see [`crate::extract`]), over the same key table.
+struct OracleEval<'a> {
+    ast: &'a Ast,
+    keys: KeyTable<'a>,
+    env: Env,
+    temp: u32,
 }
 
 impl<'a> FeasibilityOracle<'a> {
     /// An oracle for paths of functions in `ast`, with loop-summary
-    /// reasoning enabled.
+    /// reasoning enabled. It may enumerate any number of the unit's
+    /// functions, one walk after another.
     pub fn new(ast: &'a Ast) -> Self {
-        FeasibilityOracle {
-            ast,
-            env: Env::default(),
-            frames: Vec::new(),
-            cons: ConstraintSet::new(),
-            temp: 0,
-            tables: None,
-            use_summaries: true,
-            visits: HashMap::new(),
-            stack: Vec::new(),
-            lvalues: HashMap::new(),
-            reads: HashMap::new(),
-            callees: HashMap::new(),
-            decls: HashMap::new(),
-            leaves: HashMap::new(),
-        }
+        FeasibilityOracle::build(ast, KeyTable::Owned(Box::new(Keys::new(ast))), Tables::Owned(None))
     }
 
     /// An oracle over the function whose tables the extractor already
-    /// built (with loops), so neither side summarizes loops twice.
-    pub(crate) fn with_tables(ast: &'a Ast, tables: Rc<FunctionTables>) -> Self {
-        FeasibilityOracle { tables: Some(tables), ..FeasibilityOracle::new(ast) }
+    /// built (with loops), keying lvalues through the extractor's key
+    /// table, so neither side summarizes loops or keys a name twice.
+    pub(crate) fn with_tables(ast: &'a Ast, tables: &'a FunctionTables, keys: &'a mut Keys) -> Self {
+        FeasibilityOracle::build(ast, KeyTable::Shared(keys), Tables::Shared(tables))
+    }
+
+    fn build(ast: &'a Ast, keys: KeyTable<'a>, tables: Tables<'a>) -> Self {
+        FeasibilityOracle {
+            eval: OracleEval { ast, keys, env: Env::default(), temp: 0 },
+            tables,
+            frames: Vec::new(),
+            cons: ConstraintSet::new(),
+            use_summaries: true,
+            visits: Vec::new(),
+            stack: Vec::new(),
+        }
     }
 
     /// Disables loop-summary reasoning: every decision inside any
@@ -557,6 +592,19 @@ impl<'a> FeasibilityOracle<'a> {
     pub fn without_loop_summaries(mut self) -> Self {
         self.use_summaries = false;
         self
+    }
+
+    /// Readies the oracle for a walk of `cfg`: an oracle that owns its
+    /// tables builds them for this CFG. Every frame of the previous
+    /// walk has been unwound, so the environment and the constraint
+    /// set are already empty.
+    fn start_walk(&mut self, cfg: &Cfg) {
+        if let Tables::Owned(tables) = &mut self.tables {
+            *tables = Some(FunctionTables::new(self.eval.ast, cfg, true, &mut self.eval.keys));
+        }
+        self.visits.clear();
+        self.visits.resize(cfg.block_count(), 0);
+        self.eval.temp = 0;
     }
 
     /// Whether a decision in `bb` over condition expression `cond`
@@ -568,71 +616,141 @@ impl<'a> FeasibilityOracle<'a> {
     /// conditions over invariant keys only, and all out-of-loop
     /// decisions, assert normally.
     fn transparent(&mut self, bb: BlockId, cond: ExprId) -> bool {
-        if self.visits.get(&bb.0).copied().unwrap_or(0) > 1 {
+        if self.visits[bb.0 as usize] > 1 {
             return true;
         }
-        let tables = Rc::clone(self.tables.as_ref().expect("decisions follow a block entry"));
-        if !tables.in_loop(bb) {
+        let Some(writes) = self.tables.get().loop_writes(bb) else {
             return false;
-        }
+        };
         if !self.use_summaries {
             return true;
         }
-        let keys = self.read_keys(cond);
-        tables
-            .loops
-            .iter()
-            .filter(|l| l.body.contains(&bb))
-            .any(|l| keys.iter().any(|k| l.may_write.contains(k)))
-    }
-
-    /// The lvalue keys `e` syntactically reads, memoized.
-    fn read_keys(&mut self, e: ExprId) -> Vec<Istr> {
-        if let Some(k) = self.reads.get(&e) {
-            return k.clone();
-        }
-        let ast = self.ast;
-        let mut nodes = Vec::new();
-        ast.walk_expr(e, &mut |id| nodes.push(id));
-        let mut keys: Vec<Istr> = Vec::new();
-        for id in nodes {
-            if let Some(k) = self.lvalue_key(id) {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
-            }
-        }
-        self.reads.insert(e, keys.clone());
-        keys
+        let reads = self.eval.keys.reads(self.eval.ast, cond);
+        reads.iter().any(|k| writes.binary_search(k).is_ok())
     }
 
     fn push_frame(&mut self) {
-        self.frames.push(Frame { env: self.env.mark(), cons: self.cons.mark() });
+        self.frames.push(Frame { env: self.eval.env.mark(), cons: self.cons.mark() });
     }
 
     fn pop_frame(&mut self) {
         let frame = self.frames.pop().expect("balanced frame stack");
-        self.env.rollback(frame.env);
+        self.eval.env.rollback(frame.env);
         self.cons.rollback(frame.cons);
     }
 
-    /// Canonical (interned) lvalue key — must match the extractor's
-    /// keying. Memoized per expression.
-    fn lvalue_key(&mut self, e: ExprId) -> Option<Istr> {
-        if let Some(k) = self.lvalues.get(&e) {
-            return *k;
+    /// Havocs every key the loops left between `prev` and `bb` may
+    /// have written: the walked prefix ran the body a bounded number
+    /// of times, so post-loop state must not depend on those exact
+    /// bindings. Each key gets a fresh temporary; monotone counters
+    /// additionally seed a direction fact.
+    fn havoc_loop_exits(&mut self, prev: BlockId, bb: BlockId) {
+        let Some(exit) = self.tables.get().exit(prev, bb) else { return };
+        let eval = &mut self.eval;
+        for &(key, dir) in &exit.havoc {
+            let pre = eval.env.get(key, &mut eval.keys);
+            eval.temp += 1;
+            let post = Sym::temp(eval.temp);
+            eval.env.bind(key, post);
+            if let Some(dir) = dir {
+                seed_direction_fact(&mut self.cons, pre, post, dir);
+            }
         }
-        let key = match &self.ast.expr(e).kind {
-            ExprKind::Ident(_) | ExprKind::Member { .. } | ExprKind::Index(..) => {
-                Some(Istr::new(&expr_to_string(self.ast, e)))
+    }
+
+    /// Asserts one decision's constraint; `false` means contradiction.
+    fn decide(&mut self, cfg: &Cfg, d: &Decision) -> bool {
+        // Transparent decisions still evaluate their condition (the
+        // extractor does, and side effects like `if (x++)` must carry
+        // into the subtree) but assert nothing and never veto.
+        match d {
+            Decision::Branch { cond, taken, .. } => {
+                let transparent = self.transparent(d.block(), *cond);
+                let sym = self.eval.eval(*cond);
+                if transparent {
+                    return true;
+                }
+                !self.cons.assume(sym, *taken).is_contradiction()
             }
-            ExprKind::Unary(UnOp::Deref, inner) => {
-                self.lvalue_key(*inner).map(|k| Istr::new(&format!("*{k}")))
+            Decision::Switch { scrutinee, case, block } => {
+                let transparent = self.transparent(d.block(), *scrutinee);
+                let s = self.eval.eval(*scrutinee);
+                if transparent {
+                    return true;
+                }
+                match case {
+                    // A matched arm pins the scrutinee to the case value.
+                    Some(c) => {
+                        let k = self.eval.eval(*c);
+                        let eq = Sym::binary(BinOp::Eq, s, k);
+                        !self.cons.assume(eq, true).is_contradiction()
+                    }
+                    // The default arm excludes every constant case value.
+                    None => {
+                        if let Terminator::Switch { cases, .. } = &cfg.block(*block).term {
+                            for &(value, _) in cases {
+                                let k = self.eval.eval(value);
+                                let ne = Sym::binary(BinOp::Eq, s, k);
+                                if self.cons.assume(ne, false).is_contradiction() {
+                                    return false;
+                                }
+                            }
+                        }
+                        true
+                    }
+                }
             }
-            _ => None,
-        };
-        self.lvalues.insert(e, key);
-        key
+        }
+    }
+}
+
+/// Relates a havocked monotone counter to the value the walked prefix
+/// reached: the iterations the havoc stands in for can only move the
+/// counter further in its single update's direction, so `post >= pre`
+/// (increasing) or `post <= pre` (decreasing). Constant-step terms of
+/// the counter's own direction peel off `pre` (a weaker bound is still
+/// a bound); anything else contributes no fact.
+fn seed_direction_fact(cons: &mut ConstraintSet, pre: Sym, post: Sym, dir: CounterDir) {
+    let up = matches!(dir, CounterDir::Increasing);
+    let mut base = pre;
+    loop {
+        match base.node() {
+            SymNode::Int(_) | SymNode::Input(_) | SymNode::Temp(_) => break,
+            SymNode::Binary(BinOp::Add, a, b) => {
+                if let Some(c) = b.as_int() {
+                    if (c >= 0) == up {
+                        base = *a;
+                        continue;
+                    }
+                }
+                if let Some(c) = a.as_int() {
+                    if (c >= 0) == up {
+                        base = *b;
+                        continue;
+                    }
+                }
+                return;
+            }
+            _ => return,
+        }
+    }
+    let cmp = if up {
+        Sym::binary_raw(BinOp::Ge, post, base)
+    } else {
+        Sym::binary_raw(BinOp::Le, post, base)
+    };
+    // `post` is a fresh temporary with no prior facts, so this can
+    // only narrow, never contradict.
+    let _ = cons.assume(cmp, true);
+}
+
+impl OracleEval<'_> {
+    fn lvalue_key(&mut self, e: ExprId) -> Option<KeyId> {
+        self.keys.lvalue(self.ast, e)
+    }
+
+    fn read(&mut self, key: KeyId) -> Sym {
+        self.env.get(key, &mut self.keys)
     }
 
     /// Call results are opaque: bound values become fresh temporaries,
@@ -657,7 +775,7 @@ impl<'a> FeasibilityOracle<'a> {
                     }
                     None => Sym::unknown(),
                 };
-                let key = *self.decls.entry(id).or_insert_with(|| Istr::new(name));
+                let key = self.keys.decl(id, name);
                 self.env.bind(key, value);
             }
             StmtKind::Expr(e) => {
@@ -670,15 +788,15 @@ impl<'a> FeasibilityOracle<'a> {
     /// The extraction evaluator minus event recording; see
     /// [`crate::extract`]. Divergence here would make the oracle judge
     /// a different condition value than the extractor later records,
-    /// so every arm mirrors `Evaluator::eval` exactly.
+    /// so every arm mirrors the extractor's `eval` exactly.
     fn eval(&mut self, e: ExprId) -> Sym {
         let ast = self.ast;
         match &ast.expr(e).kind {
             ExprKind::Int(v) => Sym::int(*v),
-            ExprKind::Str(s) => *self.leaves.entry(e).or_insert_with(|| Sym::str_lit(s.as_str())),
+            ExprKind::Str(s) => self.keys.leaf(e, || Sym::str_lit(s.as_str())),
             ExprKind::Ident(_) => {
                 let key = self.lvalue_key(e).expect("identifiers are lvalues");
-                self.env.get(key)
+                self.read(key)
             }
             ExprKind::Unary(op, inner) => {
                 let (op, inner) = (*op, *inner);
@@ -702,7 +820,7 @@ impl<'a> FeasibilityOracle<'a> {
                 let v = self.eval(inner);
                 if matches!(op, UnOp::Deref) {
                     return match self.lvalue_key(e) {
-                        Some(key) => self.env.get(key),
+                        Some(key) => self.read(key),
                         None => Sym::unknown(),
                     };
                 }
@@ -724,7 +842,7 @@ impl<'a> FeasibilityOracle<'a> {
                 let value = match op {
                     AssignOp::Assign => rhs_value,
                     AssignOp::Compound(bin) => {
-                        let cur = self.env.get(key);
+                        let cur = self.read(key);
                         Sym::binary(bin, cur, rhs_value)
                     }
                 };
@@ -744,14 +862,7 @@ impl<'a> FeasibilityOracle<'a> {
                 }
             }
             ExprKind::Call { callee, args } => {
-                let callee_name = match self.callees.get(callee) {
-                    Some(&n) => n,
-                    None => {
-                        let n = Istr::new(&expr_to_string(ast, *callee));
-                        self.callees.insert(*callee, n);
-                        n
-                    }
-                };
+                let callee_name = self.keys.callee(ast, *callee);
                 let mut arg_syms = Vec::with_capacity(args.len());
                 for &a in args {
                     arg_syms.push(self.eval(a));
@@ -762,7 +873,7 @@ impl<'a> FeasibilityOracle<'a> {
                 let base = *base;
                 self.eval(base);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env.get(key),
+                    Some(key) => self.read(key),
                     None => Sym::unknown(),
                 }
             }
@@ -771,13 +882,13 @@ impl<'a> FeasibilityOracle<'a> {
                 self.eval(b);
                 self.eval(i);
                 match self.lvalue_key(e) {
-                    Some(key) => self.env.get(key),
+                    Some(key) => self.read(key),
                     None => Sym::unknown(),
                 }
             }
             ExprKind::Cast(_, inner) => self.eval(*inner),
             ExprKind::SizeofType(ty) => {
-                *self.leaves.entry(e).or_insert_with(|| Sym::input(format!("sizeof({ty})")))
+                self.keys.leaf(e, || Sym::input(format!("sizeof({ty})")))
             }
             ExprKind::SizeofExpr(inner) => {
                 self.eval(*inner);
@@ -790,134 +901,28 @@ impl<'a> FeasibilityOracle<'a> {
             }
         }
     }
-
-    /// Havocs every key the loops left between `prev` and `bb` may
-    /// have written: the walked prefix ran the body a bounded number
-    /// of times, so post-loop state must not depend on those exact
-    /// bindings. Each key gets a fresh temporary; monotone counters
-    /// additionally seed a direction fact.
-    fn havoc_loop_exits(&mut self, tables: &FunctionTables, prev: BlockId, bb: BlockId) {
-        let Some(exit) = tables.exit(prev, bb) else { return };
-        for &(key, dir) in &exit.havoc {
-            let pre = self.env.get(key);
-            self.temp += 1;
-            let post = Sym::temp(self.temp);
-            self.env.bind(key, post);
-            if let Some(dir) = dir {
-                self.seed_direction_fact(pre, post, dir);
-            }
-        }
-    }
-
-    /// Relates a havocked monotone counter to the value the walked
-    /// prefix reached: the iterations the havoc stands in for can
-    /// only move the counter further in its single update's
-    /// direction, so `post >= pre` (increasing) or `post <= pre`
-    /// (decreasing). Constant-step terms of the counter's own
-    /// direction peel off `pre` (a weaker bound is still a bound);
-    /// anything else contributes no fact.
-    fn seed_direction_fact(&mut self, pre: Sym, post: Sym, dir: CounterDir) {
-        let up = matches!(dir, CounterDir::Increasing);
-        let mut base = pre;
-        loop {
-            match base.node() {
-                SymNode::Int(_) | SymNode::Input(_) | SymNode::Temp(_) => break,
-                SymNode::Binary(BinOp::Add, a, b) => {
-                    if let Some(c) = b.as_int() {
-                        if (c >= 0) == up {
-                            base = *a;
-                            continue;
-                        }
-                    }
-                    if let Some(c) = a.as_int() {
-                        if (c >= 0) == up {
-                            base = *b;
-                            continue;
-                        }
-                    }
-                    return;
-                }
-                _ => return,
-            }
-        }
-        let cmp = if up {
-            Sym::binary_raw(BinOp::Ge, post, base)
-        } else {
-            Sym::binary_raw(BinOp::Le, post, base)
-        };
-        // `post` is a fresh temporary with no prior facts, so this
-        // can only narrow, never contradict.
-        let _ = self.cons.assume(cmp, true);
-    }
-
-    /// Asserts one decision's constraint; `false` means contradiction.
-    fn decide(&mut self, cfg: &Cfg, d: &Decision) -> bool {
-        // Transparent decisions still evaluate their condition (the
-        // extractor does, and side effects like `if (x++)` must carry
-        // into the subtree) but assert nothing and never veto.
-        match d {
-            Decision::Branch { cond, taken, .. } => {
-                let transparent = self.transparent(d.block(), *cond);
-                let sym = self.eval(*cond);
-                if transparent {
-                    return true;
-                }
-                !self.cons.assume(sym, *taken).is_contradiction()
-            }
-            Decision::Switch { scrutinee, case, block } => {
-                let transparent = self.transparent(d.block(), *scrutinee);
-                let s = self.eval(*scrutinee);
-                if transparent {
-                    return true;
-                }
-                match case {
-                    // A matched arm pins the scrutinee to the case value.
-                    Some(c) => {
-                        let k = self.eval(*c);
-                        let eq = Sym::binary(BinOp::Eq, s, k);
-                        !self.cons.assume(eq, true).is_contradiction()
-                    }
-                    // The default arm excludes every constant case value.
-                    None => {
-                        if let Terminator::Switch { cases, .. } = &cfg.block(*block).term {
-                            for &(value, _) in cases {
-                                let k = self.eval(value);
-                                let ne = Sym::binary(BinOp::Eq, s, k);
-                                if self.cons.assume(ne, false).is_contradiction() {
-                                    return false;
-                                }
-                            }
-                        }
-                        true
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl PathOracle for FeasibilityOracle<'_> {
     fn enter_block(&mut self, cfg: &Cfg, bb: BlockId) {
-        let ast = self.ast;
-        let tables = Rc::clone(
-            self.tables.get_or_insert_with(|| Rc::new(FunctionTables::new(ast, cfg, true))),
-        );
-        *self.visits.entry(bb.0).or_insert(0) += 1;
+        if self.stack.is_empty() {
+            self.start_walk(cfg);
+        }
+        self.visits[bb.0 as usize] += 1;
         self.push_frame();
         // Havoc inside the new block's frame so backtracking out of
         // `bb` restores the pre-havoc environment and facts.
         if self.use_summaries {
             if let Some(&prev) = self.stack.last() {
-                self.havoc_loop_exits(&tables, prev, bb);
+                self.havoc_loop_exits(prev, bb);
             }
         }
         self.stack.push(bb);
-        let block = cfg.block(bb);
-        for &stmt in &block.stmts {
-            self.exec_stmt(stmt);
+        for &stmt in &cfg.block(bb).stmts {
+            self.eval.exec_stmt(stmt);
         }
-        for &step in tables.steps(bb) {
-            self.eval(step);
+        for &step in self.tables.get().steps(bb) {
+            self.eval.eval(step);
         }
     }
 
@@ -938,9 +943,7 @@ impl PathOracle for FeasibilityOracle<'_> {
     }
 
     fn leave_block(&mut self, _cfg: &Cfg, bb: BlockId) {
-        if let Some(count) = self.visits.get_mut(&bb.0) {
-            *count -= 1;
-        }
+        self.visits[bb.0 as usize] -= 1;
         self.stack.pop();
         self.pop_frame();
     }

@@ -75,6 +75,12 @@ impl Istr {
         self.0.as_ptr() as usize
     }
 
+    /// The interner's shard hash of the contents: unlike the address,
+    /// the same in every run.
+    pub(crate) fn stable_hash(self) -> u64 {
+        shard_hash(self.0)
+    }
+
     /// Number of distinct strings interned so far (for diagnostics).
     pub fn interned_count() -> usize {
         interner().sum(HashSet::len)

@@ -27,6 +27,7 @@ pub mod event;
 pub mod extract;
 pub mod feasible;
 pub mod intern;
+mod keys;
 mod shard;
 pub mod stats;
 pub mod sym;

@@ -34,20 +34,41 @@
 //! locked shards (the crate-private `shard` module). A node's shard is
 //! a cheap mix of its parts, which are already interned: the [`Istr`]
 //! address of a name, the ids of child nodes, the operator and the
-//! integer value. Each shard keeps its own SipHash-keyed map. The
-//! shards are built, empty, on first use.
+//! integer value. Each shard keeps its own SipHash-keyed set of 8-byte
+//! handles, looked up by the node they point to, so a node is stored
+//! once, in its leaked `HNode`. The shards are built, empty, on first
+//! use.
 //!
 //! Node ids come from one atomic counter, taken inside the inserting
 //! shard's lock. Ids are therefore unique and dense, and a
 //! single-threaded run numbers nodes in interning order.
 //! [`arena_node_count`] and [`arena_lookups`] sum the shards, so both
 //! are exact.
+//!
+//! # Front cache
+//!
+//! Evaluation rebuilds the same few nodes over and over (the inputs of
+//! the variables a function reads, its loop-exit temporaries, the
+//! conditions of its hot blocks). Each thread that builds nodes
+//! therefore keeps a small direct-mapped cache in front of the shards,
+//! allocated on its first lookup: 4096 entries, each the packed parts
+//! of a node (tag, operator, child ids, integer value or name address)
+//! next to its handle, so a hit takes no lock and reads no node. A
+//! shard hit or an insert fills the entry the node maps to.
+//! The cache only serves nodes already in the arena, so node counts,
+//! ids and outputs are the same with or without it; it only saves shard
+//! lookups, which is what [`arena_lookups`] counts. `Call` nodes, whose
+//! argument lists do not pack into a fixed entry, always go to their
+//! shard.
 
 use crate::intern::Istr;
 use crate::shard::{mix, Sharded};
 use pallas_lang::ast::{BinOp, UnOp};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -107,9 +128,34 @@ pub const MAX_SYM_NODES: usize = 256;
 
 const SMALL_INT_MAX: i64 = 128;
 
+/// A shard's entry: the handle alone, hashed and compared as the node
+/// it points to, so a lookup by `&SymNode` finds it and the node is not
+/// stored a second time as a map key.
+struct Slot(Sym);
+
+impl Borrow<SymNode> for Slot {
+    fn borrow(&self) -> &SymNode {
+        self.0.node()
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Slot) -> bool {
+        self.0.node() == other.0.node()
+    }
+}
+
+impl Eq for Slot {}
+
+impl Hash for Slot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.node().hash(state);
+    }
+}
+
 /// The arena's shards, built on first use.
-fn arena() -> &'static Sharded<HashMap<SymNode, Sym>> {
-    static ARENA: OnceLock<Sharded<HashMap<SymNode, Sym>>> = OnceLock::new();
+fn arena() -> &'static Sharded<HashSet<Slot>> {
+    static ARENA: OnceLock<Sharded<HashSet<Slot>>> = OnceLock::new();
     ARENA.get_or_init(Sharded::new)
 }
 
@@ -121,13 +167,18 @@ fn arena() -> &'static Sharded<HashMap<SymNode, Sym>> {
 static NEXT_ID: AtomicU32 = AtomicU32::new(0);
 
 /// The shard hash of a node: a [`mix`] of its parts, which are all
-/// already interned — names by address, children by id — so picking a
-/// shard never walks a tree or a string.
+/// already interned — children by id, callees by address — so picking
+/// a shard never walks a tree or a string. The hash also picks the
+/// node's front-cache entry, so it must not depend on addresses where
+/// that entry matters: an address changes from run to run, and with it
+/// which nodes evict each other and how many lookups a run makes.
+/// Input and string nodes (rarely built: the evaluators memoize them
+/// per key and per leaf) hash their contents' ends instead.
 fn shard_hash(node: &SymNode) -> u64 {
     match node {
-        SymNode::Input(n) => mix(1, n.addr() as u64),
+        SymNode::Input(n) => mix(1, n.stable_hash()),
         SymNode::Int(v) => mix(2, *v as u64),
-        SymNode::Str(s) => mix(3, s.addr() as u64),
+        SymNode::Str(s) => mix(3, s.stable_hash()),
         SymNode::Temp(n) => mix(4, u64::from(*n)),
         SymNode::Call { callee, args } => args
             .iter()
@@ -140,7 +191,77 @@ fn shard_hash(node: &SymNode) -> u64 {
     }
 }
 
+/// Entries in each thread's front cache: a power of two, 96 KiB.
+const FRONT: usize = 4096;
+
+/// One front-cache entry: a node's parts packed into two words, and its
+/// handle (`None` while the entry is empty).
+#[derive(Clone, Copy)]
+struct Front {
+    parts: [u64; 2],
+    sym: Option<Sym>,
+}
+
+thread_local! {
+    /// Allocated on a thread's first lookup, so threads that never
+    /// build a node (the daemon's event loop) neither allocate it nor
+    /// touch its pages when they start.
+    static FRONT_CACHE: Box<[Cell<Front>]> =
+        (0..FRONT).map(|_| Cell::new(Front { parts: [0; 2], sym: None })).collect();
+}
+
+/// The packed parts of a node: a tag and the operator in the low bytes
+/// of the first word, the second child's id in its high half, and the
+/// integer value, the name address, the temporary number or the first
+/// child's id in the second word. Distinct nodes pack distinctly.
+/// `None` for `Call`, which the cache does not hold.
+fn pack(node: &SymNode) -> Option<[u64; 2]> {
+    Some(match node {
+        SymNode::Input(n) => [1, n.addr() as u64],
+        SymNode::Int(v) => [2, *v as u64],
+        SymNode::Str(s) => [3, s.addr() as u64],
+        SymNode::Temp(n) => [4, u64::from(*n)],
+        SymNode::Call { .. } => return None,
+        SymNode::Unary(op, a) => [5 | (*op as u64) << 8, u64::from(a.id())],
+        SymNode::Binary(op, a, b) => {
+            [6 | (*op as u64) << 8 | u64::from(b.id()) << 32, u64::from(a.id())]
+        }
+        SymNode::Unknown => [7, 0],
+    })
+}
+
+/// The front-cache entry of a node with shard hash `hash`: the bits
+/// just below the ones that pick the shard. Always below [`FRONT`].
+fn front_index(hash: u64) -> usize {
+    let shard_bits = crate::shard::SHARDS.trailing_zeros();
+    (hash >> (u64::BITS - shard_bits - FRONT.trailing_zeros())) as usize & (FRONT - 1)
+}
+
 fn intern(node: SymNode) -> Sym {
+    let hash = shard_hash(&node);
+    let parts = pack(&node);
+    let index = front_index(hash);
+    if let Some(parts) = parts {
+        let entry = FRONT_CACHE.with(|cache| cache[index].get());
+        if entry.parts == parts {
+            if let Some(found) = entry.sym {
+                return found;
+            }
+        }
+    }
+    let sym = intern_in_shard(node, hash);
+    if let Some(parts) = parts {
+        FRONT_CACHE.with(|cache| cache[index].set(Front { parts, sym: Some(sym) }));
+    }
+    sym
+}
+
+/// Finds `node` in its shard, or inserts it there.
+fn intern_in_shard(node: SymNode, hash: u64) -> Sym {
+    let mut shard = arena().lookup(hash);
+    if let Some(found) = shard.table.get(&node) {
+        return found.0;
+    }
     let size = match &node {
         SymNode::Call { args, .. } => args
             .iter()
@@ -151,31 +272,23 @@ fn intern(node: SymNode) -> Sym {
             .saturating_add(b.0.size),
         _ => 1,
     };
-    let mut shard = arena().lookup(shard_hash(&node));
-    if let Some(&found) = shard.table.get(&node) {
-        return found;
-    }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let leaked: &'static HNode = Box::leak(Box::new(HNode {
-        node: node.clone(),
-        size,
-        id,
-    }));
-    shard.table.insert(node, Sym(leaked));
-    Sym(leaked)
+    let sym = Sym(Box::leak(Box::new(HNode { node, size, id })));
+    shard.table.insert(Slot(sym));
+    sym
 }
 
 /// Number of distinct nodes interned so far. The arena only grows, so
 /// this is also the peak node count — reported by `repro --sym-bench`
 /// and guarded by the CI regression step.
 pub fn arena_node_count() -> usize {
-    arena().sum(HashMap::len)
+    arena().sum(HashSet::len)
 }
 
 /// Number of arena lookups so far: every constructor call that reached
-/// the arena, whether it found its node or inserted it. Constants
-/// served from the small-integer table and the `Unknown` singleton do
-/// not count.
+/// a shard, whether it found its node or inserted it. Constants served
+/// from the small-integer table, the `Unknown` singleton and hits in a
+/// thread's front cache (see the module docs) do not count.
 pub fn arena_lookups() -> u64 {
     arena().lookups()
 }
@@ -593,6 +706,60 @@ mod tests {
         assert_eq!(ee.size(), 7);
         let call = Sym::call("f", vec![e, x]);
         assert_eq!(call.size(), 5);
+    }
+
+    /// Arena nodes, over every shard, that satisfy `pred`.
+    fn arena_nodes_where(pred: impl Fn(&SymNode) -> bool) -> usize {
+        arena().sum(|set| set.iter().filter(|slot| pred(slot.0.node())).count())
+    }
+
+    #[test]
+    fn nodes_sharing_a_front_cache_entry_stay_distinct() {
+        // Two temporaries from a range no other test builds, chosen to
+        // map to one front-cache entry, so building them alternately
+        // evicts each from the cache in turn.
+        const BASE: u32 = 3_000_000_000;
+        let entry = |n: u32| front_index(shard_hash(&SymNode::Temp(n)));
+        let a = BASE;
+        let b = (BASE + 1..).find(|&n| entry(n) == entry(a)).expect("entries repeat");
+        let ours = |node: &SymNode| matches!(node, SymNode::Temp(n) if *n >= BASE);
+        let before = arena_nodes_where(ours);
+        let cached = || FRONT_CACHE.with(|cache| cache[entry(a)].get().sym);
+        let (first_a, first_b) = (Sym::temp(a), Sym::temp(b));
+        for _ in 0..8 {
+            let x = Sym::temp(a);
+            assert!(cached() == Some(x));
+            let y = Sym::temp(b);
+            assert!(cached() == Some(y));
+            assert!(std::ptr::eq(x.node(), first_a.node()));
+            assert!(std::ptr::eq(y.node(), first_b.node()));
+            assert!(!std::ptr::eq(x.node(), y.node()));
+            assert!(matches!(x.node(), SymNode::Temp(n) if *n == a));
+            assert!(matches!(y.node(), SymNode::Temp(n) if *n == b));
+        }
+        assert_eq!(arena_nodes_where(ours) - before, 2);
+    }
+
+    #[test]
+    fn packed_parts_tell_every_node_kind_apart() {
+        // Parts that differ only in the tag, the operator or a child
+        // must not collide in the front cache.
+        let (x, y) = (Sym::input("pack_x"), Sym::input("pack_y"));
+        let nodes = [
+            SymNode::Int(x.id().into()),
+            SymNode::Temp(x.id()),
+            SymNode::Unary(UnOp::Neg, x),
+            SymNode::Unary(UnOp::Not, x),
+            SymNode::Binary(BinOp::Add, x, y),
+            SymNode::Binary(BinOp::Add, y, x),
+            SymNode::Binary(BinOp::Sub, x, y),
+            SymNode::Unknown,
+        ];
+        let parts: Vec<[u64; 2]> = nodes.iter().map(|n| pack(n).expect("cacheable")).collect();
+        for (i, p) in parts.iter().enumerate() {
+            assert!(!parts[i + 1..].contains(p), "{:?} packs like a later node", nodes[i]);
+        }
+        assert!(pack(&SymNode::Call { callee: Istr::new("f"), args: vec![] }).is_none());
     }
 
     #[test]

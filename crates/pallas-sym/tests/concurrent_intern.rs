@@ -6,12 +6,15 @@
 //! same handle for every value, ids must be unique, and the global
 //! node and string counts must grow by exactly the number of distinct
 //! values — checked against a single-threaded hash-consing model of
-//! the program. The counts are process-global, so this file holds a
-//! single test.
+//! the program. Each thread then builds every value a second time,
+//! now mostly from its front cache, and must get the same handles
+//! without adding a node or making as many shard lookups. The counts
+//! are process-global, so this file holds a single test.
 
 use pallas_lang::ast::{BinOp, UnOp};
-use pallas_sym::{arena_node_count, Istr, Sym};
+use pallas_sym::{arena_lookups, arena_node_count, Istr, Sym};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 const THREADS: usize = 4;
@@ -80,7 +83,7 @@ fn program(round: u64) -> Vec<Step> {
 
 /// Runs the program, returning every step's value and every name it
 /// interned, in program order.
-fn run(steps: &[Step], barrier: &Barrier) -> (Vec<Sym>, Vec<Istr>) {
+fn build(steps: &[Step], barrier: &Barrier) -> (Vec<Sym>, Vec<Istr>) {
     let mut syms: Vec<Sym> = Vec::with_capacity(steps.len());
     let mut names = Vec::new();
     for (i, step) in steps.iter().enumerate() {
@@ -108,6 +111,21 @@ fn run(steps: &[Step], barrier: &Barrier) -> (Vec<Sym>, Vec<Istr>) {
         syms.push(sym);
     }
     (syms, names)
+}
+
+/// Runs the program twice. Between the runs every thread waits while
+/// one of them reads the shard lookups made so far into `between`.
+fn run(steps: &[Step], barrier: &Barrier, between: &AtomicU64) -> (Vec<Sym>, Vec<Istr>) {
+    let first = build(steps, barrier);
+    if barrier.wait().is_leader() {
+        between.store(arena_lookups(), Ordering::SeqCst);
+    }
+    let second = build(steps, barrier);
+    for (a, b) in first.0.iter().zip(&second.0) {
+        assert!(std::ptr::eq(a.node(), b.node()), "a rebuilt value changed its node");
+    }
+    assert!(first.1 == second.1, "a re-interned name changed its address");
+    first
 }
 
 /// The single-threaded model: each step's canonical class (equal
@@ -146,13 +164,21 @@ fn threads_building_the_same_values_share_one_node_each() {
         let (class, distinct, names) = model(&steps);
         let nodes_before = arena_node_count();
         let strings_before = Istr::interned_count();
+        let lookups_before = arena_lookups();
 
         let barrier = Barrier::new(THREADS);
+        let between = AtomicU64::new(0);
         let runs: Vec<(Vec<Sym>, Vec<Istr>)> = std::thread::scope(|s| {
             let handles: Vec<_> =
-                (0..THREADS).map(|_| s.spawn(|| run(&steps, &barrier))).collect();
+                (0..THREADS).map(|_| s.spawn(|| run(&steps, &barrier, &between))).collect();
             handles.into_iter().map(|h| h.join().expect("interning thread")).collect()
         });
+        let between = between.load(Ordering::SeqCst);
+        let (first, second) = (between - lookups_before, arena_lookups() - between);
+        assert!(
+            second < first,
+            "round {round}: the second build made {second} shard lookups, the first {first}"
+        );
 
         let (first_syms, first_names) = &runs[0];
         for (syms, names) in &runs[1..] {

@@ -16,6 +16,12 @@ cargo test --workspace -q --no-fail-fast
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs (deny warnings) =="
+# Library docs of every workspace crate except the vendored stand-ins;
+# `--lib` because the root package's binary and library share a name.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib \
+  --exclude rand --exclude proptest --exclude criterion --exclude crossbeam
+
 echo "== daemon smoke test =="
 cargo build --release -p pallas-cli
 PALLAS_BIN=target/release/pallas
